@@ -15,9 +15,9 @@ The sanitizer is **off by default** and adds zero overhead when off —
 nothing wraps the engine unless ``sanitize=`` / ``--sanitize`` asks for
 it. When on, :class:`SanitizedInstance` intercepts the engine's public
 execution surface (``update_partials_set``, ``update_partials_serial``,
-``update_transition_matrices``, the scale bank, and the likelihood
-reductions), records footprints, and delegates — results are
-bit-identical with and without the wrapper.
+``invalidate_partials``, ``update_transition_matrices``, the scale bank,
+and the likelihood reductions), records footprints, and delegates —
+results are bit-identical with and without the wrapper.
 
 Offender pairs are reported as :class:`RaceReport` values (buffer index,
 both thread ids, both access kinds) and as ERROR-severity
@@ -209,6 +209,15 @@ class RaceDetector:
                     log[thread] = (prior[0] or is_write, prior[1] & locks)
 
     # -- reporting -----------------------------------------------------
+    def implicates(self, thread: int) -> bool:
+        """Has a race involving ``thread`` been detected this epoch?"""
+        with self._lock:
+            return any(
+                race.epoch == self._epoch
+                and thread in (race.first_thread, race.second_thread)
+                for race in self.races
+            )
+
     @property
     def clean(self) -> bool:
         """True while no race has been detected."""
@@ -317,6 +326,19 @@ class SanitizedInstance:
             accesses.extend((kind, index, "read") for kind, index in fp.reads)
             accesses.extend((kind, index, "write") for kind, index in fp.writes)
         self._detector.record_batch(self._token, accesses)
+
+    def invalidate_partials(self) -> None:
+        """Record a write to every internal partials buffer (their
+        validity flags), then delegate."""
+        first = self._inner.tip_count
+        self._detector.record_batch(
+            self._token,
+            [
+                ("partials", index, "write")
+                for index in range(first, first + self._inner.partials_buffer_count)
+            ],
+        )
+        self._inner.invalidate_partials()
 
     def update_partials_set(self, operations: Sequence[Operation]) -> None:
         """Record the set's footprints, then launch it on the engine."""

@@ -33,7 +33,7 @@ backend object may serve any number of instances concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, List, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -182,9 +182,13 @@ class KernelBackend(Protocol):
         """
         ...
 
-    def rescale(self, partials: np.ndarray) -> np.ndarray:
-        """Rescale ``(C, P, S)`` partials in place; return per-pattern
-        log factors ``(P,)`` in the partials dtype."""
+    def rescale(
+        self, partials: np.ndarray, workspace: Optional["Workspace"] = None
+    ) -> np.ndarray:
+        """Rescale ``(C, P, S)`` partials, or a C-contiguous stack
+        ``(k, C, P, S)``, in place; return per-pattern log factors
+        ``(P,)`` or ``(k, P)`` in the partials dtype, drawing scratch
+        from ``workspace`` when given."""
         ...
 
     def root_reduce(

@@ -151,28 +151,6 @@ class PatternBlockedBackend(BlockedNumpyBackend):
             )
             np.multiply(left, right, out=out[:, p0:p1, :])
 
-    def _rescale_destination(
-        self, instance: "BeagleInstance", op: "Operation", out: np.ndarray
-    ) -> None:
-        """Per-operation rescale over the assembled destination.
-
-        The same arithmetic, scratch and scale-bank write as the shared
-        set executor — run after all tiles so the max reduction sees the
-        identical full-pattern array.
-        """
-        ws = instance.workspace
-        factors = ws.scale_factors
-        safe = ws.scale_safe
-        mask = ws.scale_mask
-        logs = ws.scale_logs
-        np.amax(out, axis=(0, 2), out=factors)
-        np.less_equal(factors, 0.0, out=mask)
-        np.copyto(safe, factors)
-        safe[mask] = 1.0
-        out /= safe[None, :, None]
-        np.log(safe, out=logs)
-        instance.scale.write(op.destination_scale, logs)
-
     def update_partials_batch(
         self, instance: "BeagleInstance", operations: List["Operation"]
     ) -> None:
@@ -181,15 +159,17 @@ class PatternBlockedBackend(BlockedNumpyBackend):
             super().update_partials_batch(instance, operations)
             return
         tile = self.tile_for(instance)
-        instance.workspace  # materialise scale scratch before use
         for op in operations:
             slot = instance._internal_slot(op.destination)
             out = instance._partials[slot]
             with get_recorder().phase(PHASE_PARTIALS):
                 self._tiled_operation(instance, op, out, tile)
             if op.destination_scale >= 0:
+                # Over the fully assembled destination, so the maximum
+                # sees the identical full-pattern array.
                 with get_recorder().phase(PHASE_SCALING):
-                    self._rescale_destination(instance, op, out)
+                    logs = self.rescale(out, instance.workspace)
+                    instance.scale.write(op.destination_scale, logs)
             instance._partials_valid[slot] = True
 
     def update_upper_partials(

@@ -10,7 +10,7 @@ correctness — every other backend is gated against it by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -95,9 +95,11 @@ class ReferenceBackend:
         ws.ensure(k)
         execute_upper_block(instance, ws, operations, 0, k)
 
-    def rescale(self, partials: np.ndarray) -> np.ndarray:
+    def rescale(
+        self, partials: np.ndarray, workspace: Optional[Workspace] = None
+    ) -> np.ndarray:
         """BEAGLE's dynamic-max rescale (see :func:`rescale_partials`)."""
-        return rescale_partials(partials)
+        return rescale_partials(partials, workspace)
 
     def root_reduce(
         self,

@@ -3,7 +3,7 @@
 :func:`execute_operation_block` evaluates the slice ``ops[lo:hi]`` of an
 independent operation set through a :class:`~repro.beagle.workspace.Workspace`
 arena — classification, gathers, batched matmuls, the contribution
-product, per-operation rescaling and the destination scatter. The
+product, one stacked rescale and the destination scatter. The
 reference backend runs one block covering the whole set; the blocked
 backend partitions the set into cache-sized blocks and loops.
 
@@ -21,7 +21,7 @@ the same layout the monolithic engine used for the whole set.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,116 @@ __all__ = ["execute_operation_block", "execute_upper_block", "MatmulHook"]
 #: matrices. ``None`` selects the BLAS path through the arena's
 #: transpose scratch.
 MatmulHook = Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]]
+
+
+def _classify(
+    instance: "BeagleInstance", ws: "Workspace", children: List[Tuple[int, int]]
+) -> Tuple[int, int, int]:
+    """Validate ``children[row] = (buffer, matrix)`` in row order and
+    bucket each row as internal partials, compact tip codes or explicit
+    tip partials. Pure int bookkeeping into preallocated arrays; returns
+    the three bucket sizes."""
+    n_int = n_code = n_exp = 0
+    tip_count, valid = instance.tip_count, instance._partials_valid
+    codes, tips = instance._tip_codes, instance._tip_partials
+    for row, (b, mat) in enumerate(children):
+        ws.child_buffers[row] = b
+        if b >= tip_count:
+            slot = instance._internal_slot(b)
+            if not valid[slot]:
+                raise ValueError(f"partials buffer {b} read before being computed")
+            ws.internal_sel[n_int] = row
+            ws.internal_slots[n_int] = slot
+            ws.internal_mats[n_int] = mat
+            n_int += 1
+        elif b in codes:
+            ws.code_sel[n_code] = row
+            ws.code_tips[n_code] = b
+            ws.code_mats[n_code] = mat
+            n_code += 1
+        elif b in tips:
+            ws.explicit_sel[n_exp] = row
+            ws.explicit_mats[n_exp] = mat
+            n_exp += 1
+        else:
+            raise ValueError(f"tip buffer {b} has no data")
+    return n_int, n_code, n_exp
+
+
+def _contributions(
+    instance: "BeagleInstance",
+    ws: "Workspace",
+    counts: Tuple[int, int, int],
+    matmul: MatmulHook,
+) -> None:
+    """Write every classified row's contribution ``L @ Pᵀ`` into
+    ``ws.contributions``, one batched call per bucket."""
+    n_int, n_code, n_exp = counts
+    C, S = instance.category_count, instance.state_count
+    if n_int:
+        # Internal children: gather partials and matrices into
+        # contiguous stacks, one batched L @ Pᵀ, scatter back.
+        np.take(
+            instance._partials,
+            ws.internal_slots[:n_int],
+            axis=0,
+            out=ws.gathered[:n_int],
+        )
+        np.take(
+            instance._matrices,
+            ws.internal_mats[:n_int],
+            axis=0,
+            out=ws.mats[:n_int],
+        )
+        if matmul is None:
+            np.copyto(ws.mats_T[:n_int], ws.mats[:n_int].transpose(0, 1, 3, 2))
+            np.matmul(ws.gathered[:n_int], ws.mats_T[:n_int], out=ws.scratch[:n_int])
+        else:
+            matmul(ws.gathered[:n_int], ws.mats[:n_int], ws.scratch[:n_int])
+        ws.contributions[ws.internal_sel[:n_int]] = ws.scratch[:n_int]
+    if n_code:
+        # Compact tips: transpose matrices and pad a ones row at state
+        # index S (the "unknown" code), then resolve every (row,
+        # category, pattern) to one flat row gather.
+        np.take(
+            instance._matrices,
+            ws.code_mats[:n_code],
+            axis=0,
+            out=ws.mats[:n_code],
+        )
+        np.copyto(
+            ws.padded_T[:n_code, :, :S, :],
+            ws.mats[:n_code].transpose(0, 1, 3, 2),
+        )
+        ws.padded_T[:n_code, :, S, :] = 1.0
+        np.take(
+            instance._tip_codes_dense,
+            ws.code_tips[:n_code],
+            axis=0,
+            out=ws.codes[:n_code],
+        )
+        np.add(
+            ws.row_base[:n_code, :, None],
+            ws.codes[:n_code][:, None, :],
+            out=ws.rowidx[:n_code],
+        )
+        rows2d = ws.padded_T[:n_code].reshape(n_code * C * (S + 1), S)
+        np.take(
+            rows2d,
+            ws.rowidx[:n_code],
+            axis=0,
+            out=ws.scratch[:n_code],
+            mode="clip",
+        )
+        ws.contributions[ws.code_sel[:n_code]] = ws.scratch[:n_code]
+    for j in range(n_exp):  # rare: partial-ambiguity tips
+        row = int(ws.explicit_sel[j])
+        partials = instance._tip_partials[int(ws.child_buffers[row])]
+        np.matmul(
+            partials,
+            instance._matrices[int(ws.explicit_mats[j])].transpose(0, 2, 1),
+            out=ws.contributions[row],
+        )
 
 
 def execute_operation_block(
@@ -64,136 +174,32 @@ def execute_operation_block(
     nb = hi - lo
     block = ops[lo:hi]
     with get_recorder().phase(PHASE_PARTIALS):
-        # Classification pass: validate children (firsts before seconds,
-        # matching the serial order) and bucket each row as internal
-        # partials, compact tip codes or explicit tip partials. Pure int
-        # bookkeeping into preallocated arrays.
-        n_int = n_code = n_exp = 0
-        for base, which in ((0, 0), (nb, 1)):
-            for i, op in enumerate(block):
-                if which == 0:
-                    b, mat = op.child1, op.child1_matrix
-                else:
-                    b, mat = op.child2, op.child2_matrix
-                row = base + i
-                ws.child_buffers[row] = b
-                if b < instance.tip_count:
-                    if b in instance._tip_codes:
-                        ws.code_sel[n_code] = row
-                        ws.code_tips[n_code] = b
-                        ws.code_mats[n_code] = mat
-                        n_code += 1
-                    elif b in instance._tip_partials:
-                        ws.explicit_sel[n_exp] = row
-                        ws.explicit_mats[n_exp] = mat
-                        n_exp += 1
-                    else:
-                        raise ValueError(f"tip buffer {b} has no data")
-                else:
-                    slot = instance._internal_slot(b)
-                    if not instance._partials_valid[slot]:
-                        raise ValueError(
-                            f"partials buffer {b} read before being computed"
-                        )
-                    ws.internal_sel[n_int] = row
-                    ws.internal_slots[n_int] = slot
-                    ws.internal_mats[n_int] = mat
-                    n_int += 1
+        children = [(op.child1, op.child1_matrix) for op in block]
+        children += [(op.child2, op.child2_matrix) for op in block]
+        counts = _classify(instance, ws, children)
         for i, op in enumerate(block):
             slot = op.destination - instance.tip_count
             if not 0 <= slot < instance.partials_buffer_count:
                 raise IndexError("destination buffer out of range")
             ws.dest_slots[i] = slot
-
-        C, S = instance.category_count, instance.state_count
-        if n_int:
-            # Internal children: gather partials and matrices into
-            # contiguous stacks, one batched L @ Pᵀ, scatter back.
-            np.take(
-                instance._partials,
-                ws.internal_slots[:n_int],
-                axis=0,
-                out=ws.gathered[:n_int],
-            )
-            np.take(
-                instance._matrices,
-                ws.internal_mats[:n_int],
-                axis=0,
-                out=ws.mats[:n_int],
-            )
-            if matmul is None:
-                np.copyto(
-                    ws.mats_T[:n_int], ws.mats[:n_int].transpose(0, 1, 3, 2)
-                )
-                np.matmul(
-                    ws.gathered[:n_int], ws.mats_T[:n_int], out=ws.scratch[:n_int]
-                )
-            else:
-                matmul(ws.gathered[:n_int], ws.mats[:n_int], ws.scratch[:n_int])
-            ws.contributions[ws.internal_sel[:n_int]] = ws.scratch[:n_int]
-        if n_code:
-            # Compact tips: transpose matrices and pad a ones row at
-            # state index S (the "unknown" code), then resolve every
-            # (row, category, pattern) to one flat row gather.
-            np.take(
-                instance._matrices,
-                ws.code_mats[:n_code],
-                axis=0,
-                out=ws.mats[:n_code],
-            )
-            np.copyto(
-                ws.padded_T[:n_code, :, :S, :],
-                ws.mats[:n_code].transpose(0, 1, 3, 2),
-            )
-            ws.padded_T[:n_code, :, S, :] = 1.0
-            np.take(
-                instance._tip_codes_dense,
-                ws.code_tips[:n_code],
-                axis=0,
-                out=ws.codes[:n_code],
-            )
-            np.add(
-                ws.row_base[:n_code, :, None],
-                ws.codes[:n_code][:, None, :],
-                out=ws.rowidx[:n_code],
-            )
-            rows2d = ws.padded_T[:n_code].reshape(n_code * C * (S + 1), S)
-            np.take(
-                rows2d,
-                ws.rowidx[:n_code],
-                axis=0,
-                out=ws.scratch[:n_code],
-                mode="clip",
-            )
-            ws.contributions[ws.code_sel[:n_code]] = ws.scratch[:n_code]
-        for j in range(n_exp):  # rare: partial-ambiguity tips
-            row = int(ws.explicit_sel[j])
-            partials = instance._tip_partials[int(ws.child_buffers[row])]
-            np.matmul(
-                partials,
-                instance._matrices[int(ws.explicit_mats[j])].transpose(0, 2, 1),
-                out=ws.contributions[row],
-            )
-
+        _contributions(instance, ws, counts, matmul)
         product = ws.contributions[:nb]
         np.multiply(product, ws.contributions[nb : 2 * nb], out=product)
-    if any(op.destination_scale >= 0 for op in block):
+    scaled = [i for i, op in enumerate(block) if op.destination_scale >= 0]
+    if scaled:
         with get_recorder().phase(PHASE_SCALING):
-            factors = ws.scale_factors
-            safe = ws.scale_safe
-            mask = ws.scale_mask
-            logs = ws.scale_logs
-            for i, op in enumerate(block):
-                if op.destination_scale < 0:
-                    continue
-                rows = product[i]  # (C, P, S) view
-                np.amax(rows, axis=(0, 2), out=factors)
-                np.less_equal(factors, 0.0, out=mask)
-                np.copyto(safe, factors)
-                safe[mask] = 1.0
-                rows /= safe[None, :, None]
-                np.log(safe, out=logs)
-                instance.scale.write(op.destination_scale, logs)
+            # One stacked rescale for the block; when only some
+            # operations scale, their rows go through the gather
+            # scratch (free once the product is formed) and back.
+            if len(scaled) == nb:
+                logs = instance.backend.rescale(product, ws)
+            else:
+                rows = ws.gathered[: len(scaled)]
+                np.take(product, scaled, axis=0, out=rows)
+                logs = instance.backend.rescale(rows, ws)
+                product[scaled] = rows
+            for i, row in zip(scaled, logs):
+                instance.scale.write(block[i].destination_scale, row)
     instance._partials[ws.dest_slots[:nb]] = product
     instance._partials_valid[ws.dest_slots[:nb]] = True
 
@@ -229,34 +235,11 @@ def execute_upper_block(
     upper_valid = instance._upper_valid
     assert upper is not None and upper_valid is not None
     with get_recorder().phase(PHASE_PARTIALS):
-        # First children (lower bank): the standard classification pass
-        # over rows 0..nb-1.
-        n_int = n_code = n_exp = 0
-        for i, op in enumerate(block):
-            b, mat = op.child1, op.child1_matrix
-            ws.child_buffers[i] = b
-            if b < instance.tip_count:
-                if b in instance._tip_codes:
-                    ws.code_sel[n_code] = i
-                    ws.code_tips[n_code] = b
-                    ws.code_mats[n_code] = mat
-                    n_code += 1
-                elif b in instance._tip_partials:
-                    ws.explicit_sel[n_exp] = i
-                    ws.explicit_mats[n_exp] = mat
-                    n_exp += 1
-                else:
-                    raise ValueError(f"tip buffer {b} has no data")
-            else:
-                slot = instance._internal_slot(b)
-                if not instance._partials_valid[slot]:
-                    raise ValueError(
-                        f"partials buffer {b} read before being computed"
-                    )
-                ws.internal_sel[n_int] = i
-                ws.internal_slots[n_int] = slot
-                ws.internal_mats[n_int] = mat
-                n_int += 1
+        # First children (lower bank): the standard classification over
+        # rows 0..nb-1.
+        counts = _classify(
+            instance, ws, [(op.child1, op.child1_matrix) for op in block]
+        )
         # Second children (upper bank) and destinations: pure slot math.
         for i, op in enumerate(block):
             slot = op.child2 - base
@@ -274,71 +257,7 @@ def execute_upper_block(
                     f"upper destination {op.destination} out of range"
                 )
             ws.dest_slots[i] = dest
-
-        C, S = instance.category_count, instance.state_count
-        if n_int:
-            np.take(
-                instance._partials,
-                ws.internal_slots[:n_int],
-                axis=0,
-                out=ws.gathered[:n_int],
-            )
-            np.take(
-                instance._matrices,
-                ws.internal_mats[:n_int],
-                axis=0,
-                out=ws.mats[:n_int],
-            )
-            if matmul is None:
-                np.copyto(
-                    ws.mats_T[:n_int], ws.mats[:n_int].transpose(0, 1, 3, 2)
-                )
-                np.matmul(
-                    ws.gathered[:n_int], ws.mats_T[:n_int], out=ws.scratch[:n_int]
-                )
-            else:
-                matmul(ws.gathered[:n_int], ws.mats[:n_int], ws.scratch[:n_int])
-            ws.contributions[ws.internal_sel[:n_int]] = ws.scratch[:n_int]
-        if n_code:
-            np.take(
-                instance._matrices,
-                ws.code_mats[:n_code],
-                axis=0,
-                out=ws.mats[:n_code],
-            )
-            np.copyto(
-                ws.padded_T[:n_code, :, :S, :],
-                ws.mats[:n_code].transpose(0, 1, 3, 2),
-            )
-            ws.padded_T[:n_code, :, S, :] = 1.0
-            np.take(
-                instance._tip_codes_dense,
-                ws.code_tips[:n_code],
-                axis=0,
-                out=ws.codes[:n_code],
-            )
-            np.add(
-                ws.row_base[:n_code, :, None],
-                ws.codes[:n_code][:, None, :],
-                out=ws.rowidx[:n_code],
-            )
-            rows2d = ws.padded_T[:n_code].reshape(n_code * C * (S + 1), S)
-            np.take(
-                rows2d,
-                ws.rowidx[:n_code],
-                axis=0,
-                out=ws.scratch[:n_code],
-                mode="clip",
-            )
-            ws.contributions[ws.code_sel[:n_code]] = ws.scratch[:n_code]
-        for j in range(n_exp):  # rare: partial-ambiguity tips
-            row = int(ws.explicit_sel[j])
-            partials = instance._tip_partials[int(ws.child_buffers[row])]
-            np.matmul(
-                partials,
-                instance._matrices[int(ws.explicit_mats[j])].transpose(0, 2, 1),
-                out=ws.contributions[row],
-            )
+        _contributions(instance, ws, counts, matmul)
 
         # Parent uppers: gather, batched L @ Pᵀ into the second-child rows.
         np.take(upper, ws.upper_slots[:nb], axis=0, out=ws.gathered[:nb])

@@ -657,7 +657,7 @@ class BeagleInstance:
         slot = self._internal_slot(op.destination)
         self._partials_valid[slot] = True
         if op.destination_scale >= 0:
-            logs = self.backend.rescale(self._partials[slot])
+            logs = self.backend.rescale(self._partials[slot], self.workspace)
             self.scale.write(op.destination_scale, logs)
 
     # ------------------------------------------------------------------

@@ -27,6 +27,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .workspace import Workspace
+
 __all__ = [
     "child_contribution",
     "dense_tip_partials",
@@ -34,6 +36,7 @@ __all__ = [
     "update_partials_batch",
     "root_site_likelihoods",
     "edge_site_likelihoods",
+    "pattern_max",
     "rescale_partials",
     "operation_flops",
 ]
@@ -221,18 +224,63 @@ def _batched_contribution(
     return result
 
 
-def rescale_partials(partials: np.ndarray) -> np.ndarray:
-    """Rescale ``(C, P, S)`` partials in place; return per-pattern log factors.
+def pattern_max(stack: np.ndarray, out: np.ndarray, slab: np.ndarray) -> np.ndarray:
+    """Per-pattern maximum of a ``(k, C, P, S)`` stack into ``out (k, P)``.
 
-    The scale factor for a pattern is the maximum of its partials across
-    categories and states (BEAGLE's default "dynamic max" scaler).
-    Patterns whose partials are all zero keep factor 1 so a hard underflow
-    stays visible as a −inf site likelihood rather than NaN.
+    An elementwise maximum over the contiguous category slabs into
+    ``slab (k, P, S)``, then ``S − 1`` passes over per-state views. A
+    maximum is exact in any order and propagates NaN, so this equals
+    ``np.amax(stack, axis=(1, 3))`` bit for bit, at a fraction of the
+    cost of NumPy's reduction over a short innermost axis.
     """
-    factors = partials.max(axis=(0, 2))
-    safe = np.where(factors > 0.0, factors, 1.0)
-    partials /= safe[None, :, None]
-    return np.log(safe)
+    k, C, P, S = stack.shape
+    rows = stack[:, 0]
+    if C > 1:
+        np.maximum(rows, stack[:, 1], out=slab)
+        for c in range(2, C):
+            np.maximum(slab, stack[:, c], out=slab)
+        rows = slab
+    if S == 1:
+        np.copyto(out, rows[:, :, 0])
+        return out
+    np.maximum(rows[:, :, 0], rows[:, :, 1], out=out)
+    for s in range(2, S):
+        np.maximum(out, rows[:, :, s], out=out)
+    return out
+
+
+def rescale_partials(
+    partials: np.ndarray, workspace: Optional["Workspace"] = None
+) -> np.ndarray:
+    """Rescale ``(C, P, S)`` partials, or a C-contiguous ``(k, C, P, S)``
+    stack, in place; return ``(P,)`` or ``(k, P)`` log factors.
+
+    A pattern's factor is its maximum across categories and states
+    (BEAGLE's "dynamic max" scaler, :func:`pattern_max`); a factor that
+    is not positive becomes 1, so a hard underflow stays visible as a
+    −inf site likelihood rather than NaN. Logs are in the partials dtype
+    and live in ``workspace`` scratch (a fresh one when ``None``) until
+    its next use. Each factor is repeated across its ``S`` states so the
+    division's inner loop is contiguous; every element still sees the
+    same IEEE operands, so the result is bit-identical to rescaling each
+    buffer alone however many are stacked.
+    """
+    stack = partials if partials.ndim == 4 else partials[None]
+    if not stack.flags.c_contiguous:
+        raise ValueError("rescaled partials must be C-contiguous")
+    k, C, P, S = stack.shape
+    if workspace is None:
+        workspace = Workspace(stack.dtype, C, P, S)
+    logs, slab, mask = workspace.scale_scratch(k)
+    factors = pattern_max(stack, logs, slab)
+    np.greater(factors, 0.0, out=mask)
+    np.logical_not(mask, out=mask)
+    np.copyto(factors, 1.0, where=mask)
+    np.copyto(slab, factors[:, :, None])
+    flat = stack.reshape(k, C, P * S)
+    np.divide(flat, slab.reshape(k, 1, P * S), out=flat)
+    np.log(factors, out=factors)
+    return logs if partials.ndim == 4 else logs[0]
 
 
 def root_site_likelihoods(

@@ -4,8 +4,8 @@ A backend's :class:`~repro.beagle.backend.BackendInfo` *claims* a parity
 class — ``bit-identical`` or ``tolerance`` with a bound. This module
 checks the claim: :func:`parity_report` evaluates a seeded battery of
 configurations (double/single precision, as-given and rerooted trees,
-serial and batched launches, incremental propose/accept, sharded
-reduction) on both the candidate backend and the reference, and
+serial and batched launches, rescaling, incremental propose/accept,
+sharded reduction) on both the candidate backend and the reference, and
 classifies the measured deviations.
 
 The gate's rule, enforced by :attr:`ParityReport.ok`:
@@ -46,6 +46,8 @@ class ParityCheck:
     label: str
     reference_ll: float
     backend_ll: float
+    #: Every scale-bank buffer equal bit for bit (rescaling checks only).
+    scales_identical: bool = True
 
     @property
     def delta(self) -> float:
@@ -55,7 +57,7 @@ class ParityCheck:
     @property
     def bit_identical(self) -> bool:
         """Exact equality — the bar for same-dtype NumPy variants."""
-        return self.backend_ll == self.reference_ll
+        return self.backend_ll == self.reference_ll and self.scales_identical
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,9 @@ class ParityReport:
         ]
         for check in self.checks:
             mark = "=" if check.bit_identical else f"delta {check.delta:.3e}"
-            lines.append(f"  {check.label:<16} {check.backend_ll:.10f}  {mark}")
+            if not check.scales_identical:
+                mark += ", scale bank differs"
+            lines.append(f"  {check.label:<30} {check.backend_ll:.10f}  {mark}")
         return "\n".join(lines)
 
 
@@ -123,6 +127,17 @@ def _plan_ll(tree, model, patterns, backend, dtype, mode: str) -> float:
         tree, model, patterns, dtype=dtype, backend=backend
     )
     return execute_plan(instance, make_plan(tree, mode))
+
+
+def _scaled_run(tree, model, patterns, backend, dtype, mode: str):
+    """Rescale-every-operation log-likelihood and the whole scale bank."""
+    from ..core import create_instance, execute_plan, make_plan
+
+    instance = create_instance(
+        tree, model, patterns, dtype=dtype, backend=backend, scaling=True
+    )
+    ll = execute_plan(instance, make_plan(tree, mode, scaling=True))
+    return ll, instance.scale._logs.copy()
 
 
 def _incremental_ll(tree, model, patterns, backend) -> float:
@@ -160,9 +175,10 @@ def parity_report(
 
     The battery covers the acceptance axes: both precisions, as-given
     and concurrency-rerooted trees, serial and batched launches, the
-    incremental propose/accept path and the sharded reduction — each
-    evaluated by the candidate and by a fresh reference backend on
-    identical inputs.
+    same four with every operation rescaled (log-likelihood and every
+    scale-bank buffer compared), the incremental propose/accept path
+    and the sharded reduction — each evaluated by the candidate and by
+    a fresh reference backend on identical inputs.
     """
     from ..core import optimal_reroot_fast
 
@@ -191,6 +207,22 @@ def parity_report(
                 ),
             )
         )
+        for label, case in (("as-given", tree), ("rerooted", rerooted)):
+            for mode in ("serial", "concurrent"):
+                ref_ll, ref_bank = _scaled_run(
+                    case, model, patterns, reference, dtype, mode
+                )
+                ll, bank = _scaled_run(
+                    case, model, patterns, candidate, dtype, mode
+                )
+                checks.append(
+                    ParityCheck(
+                        f"{tag}/scaled/{label}/{mode}",
+                        ref_ll,
+                        ll,
+                        np.array_equal(bank, ref_bank),
+                    )
+                )
     checks.append(
         ParityCheck(
             "f64/serial",

@@ -65,15 +65,17 @@ class Workspace:
         self.capacity = 0
         #: Times the arena (re)allocated its buffers — stable in steady state.
         self.allocations = 0
-        # Per-pattern scaling scratch is size-independent: allocate once.
-        P = pattern_count
-        self._factors = np.empty(P, dtype=self.dtype)
-        self._safe = np.empty(P, dtype=self.dtype)
-        # Log factors stay in the instance dtype so the batched rescale
+        # Rescale scratch, grown separately by scale_scratch(k) so the
+        # serial and pattern-tiled paths rescale without sizing the
+        # whole arena. Logs stay in the instance dtype so every path
         # computes exactly what the serial kernel computes; the scale
-        # bank widens to float64 on write, as it does for the serial path.
-        self._logs = np.empty(P, dtype=self.dtype)
-        self._mask = np.empty(P, dtype=bool)
+        # bank widens to float64 on write.
+        self._scale_capacity = 0
+        self.scale_logs = np.empty((0, pattern_count), dtype=self.dtype)
+        self.scale_slab = np.empty(
+            (0, pattern_count, state_count), dtype=self.dtype
+        )
+        self.scale_mask = np.empty((0, pattern_count), dtype=bool)
 
     def compatible_with(
         self,
@@ -139,61 +141,32 @@ class Workspace:
         self.capacity = cap
         self.allocations += 1
 
-    # -- per-pattern scaling scratch (size-independent views) -----------
-    @property
-    def scale_factors(self) -> np.ndarray:
-        """``(P,)`` max-reduction target for one operation's rescale."""
-        return self._factors
+    def scale_scratch(
+        self, k: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scratch for rescaling ``k`` stacked buffers at once.
 
-    @property
-    def scale_safe(self) -> np.ndarray:
-        """``(P,)`` zero-protected factors (zeros replaced by 1)."""
-        return self._safe
-
-    @property
-    def scale_logs(self) -> np.ndarray:
-        """``(P,)`` log factors (instance dtype) handed to the scale bank."""
-        return self._logs
-
-    @property
-    def scale_mask(self) -> np.ndarray:
-        """``(P,)`` bool scratch marking non-positive factors."""
-        return self._mask
+        Returns ``(logs, slab, mask)`` views shaped ``(k, P)``,
+        ``(k, P, S)`` and ``(k, P)`` (bool), grown geometrically like
+        :meth:`ensure` and counted in :attr:`allocations`.
+        """
+        if k > self._scale_capacity:
+            P, S = self.pattern_count, self.state_count
+            cap = max(k, 2 * self._scale_capacity)
+            self.scale_logs = np.empty((cap, P), dtype=self.dtype)
+            self.scale_slab = np.empty((cap, P, S), dtype=self.dtype)
+            self.scale_mask = np.empty((cap, P), dtype=bool)
+            self._scale_capacity = cap
+            self.allocations += 1
+        return self.scale_logs[:k], self.scale_slab[:k], self.scale_mask[:k]
 
     def nbytes(self) -> int:
         """Bytes currently held by the arena's buffers."""
-        total = (
-            self._factors.nbytes
-            + self._safe.nbytes
-            + self._logs.nbytes
-            + self._mask.nbytes
+        return sum(
+            value.nbytes
+            for value in vars(self).values()
+            if isinstance(value, np.ndarray)
         )
-        if self.capacity:
-            for name in (
-                "contributions",
-                "scratch",
-                "gathered",
-                "mats",
-                "mats_T",
-                "padded_T",
-                "codes",
-                "rowidx",
-                "row_base",
-                "child_buffers",
-                "internal_sel",
-                "internal_slots",
-                "internal_mats",
-                "code_sel",
-                "code_tips",
-                "code_mats",
-                "explicit_sel",
-                "explicit_mats",
-                "upper_slots",
-                "upper_mats",
-                "dest_slots",
-            ):
-                total += getattr(self, name).nbytes
-        return total
 
     def buffer_token(self) -> Tuple[int, ...]:
         """Identity token of the big buffers — unchanged means reused."""
@@ -205,6 +178,7 @@ class Workspace:
             id(self.gathered),
             id(self.mats),
             id(self.padded_T),
+            id(self.scale_slab),
         )
 
 

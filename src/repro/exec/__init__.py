@@ -8,7 +8,7 @@ adds the dynamic-robustness layer around the likelihood engine:
   (:class:`ExecutionError` → :class:`DeviceFault` /
   :class:`AllocationError` / :class:`NumericalError` /
   :class:`DeadlineExceeded` / :class:`PoolSaturatedError` /
-  :class:`NoHealthyWorkersError`).
+  :class:`NoHealthyWorkersError` / :class:`DataRaceError`).
 * :mod:`repro.exec.faults` — deterministic, seed-driven
   :class:`FaultInjector` over the engine's launch surface, with five
   fault classes (kernel-launch failure, transient device error,
@@ -33,6 +33,7 @@ adds the dynamic-robustness layer around the likelihood engine:
 from .checkpoint import CheckpointError, MCMCCheckpoint, ShardCheckpoint
 from .errors import (
     AllocationError,
+    DataRaceError,
     DeadlineExceeded,
     DeviceFault,
     ExecutionError,
@@ -77,6 +78,7 @@ __all__ = [
     "DeadlineExceeded",
     "PoolSaturatedError",
     "NoHealthyWorkersError",
+    "DataRaceError",
     "FAULT_CLASSES",
     "FaultSpec",
     "FaultSchedule",

@@ -34,6 +34,9 @@ policies instead of matching on exception messages:
 ``NoHealthyWorkersError``
     Every worker of a pool has been circuit-broken and evicted; queued
     jobs cannot be placed anywhere.
+``DataRaceError``
+    Under the pool's sanitizer, a job failed on engine state that a
+    concurrent job raced on; the race is in the detector's report.
 
 Every error carries enough context (launch index, operation count,
 buffers) for :class:`~repro.exec.resilient.FaultStats` accounting and for
@@ -54,6 +57,7 @@ __all__ = [
     "DeadlineExceeded",
     "PoolSaturatedError",
     "NoHealthyWorkersError",
+    "DataRaceError",
 ]
 
 
@@ -213,3 +217,15 @@ class NoHealthyWorkersError(ExecutionError):
     """Every pool worker is circuit-broken; the job cannot be placed."""
 
     retryable = False
+
+
+class DataRaceError(ExecutionError):
+    """A sanitized job died of engine state corrupted by a detected data
+    race (``cause`` is the original exception). Not retryable: the job's
+    schedule is at fault, not the worker."""
+
+    retryable = False
+
+    def __init__(self, message: str, *, cause: BaseException) -> None:
+        super().__init__(message)
+        self.cause = cause

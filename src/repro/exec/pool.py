@@ -81,6 +81,7 @@ from typing import (
 
 from ..obs import get_recorder
 from .errors import (
+    DataRaceError,
     DeadlineExceeded,
     ExecutionError,
     NoHealthyWorkersError,
@@ -163,8 +164,8 @@ class JobOutcome:
     ``status`` is ``"ok"`` (``value`` holds the result), ``"shed"`` (the
     deadline expired while the job was still queued) or ``"surfaced"``
     (``error`` holds the typed failure). ``cause`` refines non-ok
-    outcomes: ``"expired"``, ``"failure"``, ``"unplaced"`` or
-    ``"fatal"``.
+    outcomes: ``"expired"``, ``"failure"``, ``"unplaced"``, ``"fatal"``
+    or ``"race"`` (a sanitized job killed by a detected data race).
     """
 
     index: int
@@ -741,7 +742,7 @@ class LikelihoodPool:
                 job.last_error = exc
                 return "error", exc
             except Exception as exc:  # noqa: BLE001 - programmer error
-                job.last_error = exc
+                job.last_error = exc = self._raced(exc)
                 return "fatal", exc
         with obs.span(
             "pool.job",
@@ -757,11 +758,20 @@ class LikelihoodPool:
                 span.set_attribute("outcome", "error")
                 return "error", exc
             except Exception as exc:  # noqa: BLE001 - programmer error
-                job.last_error = exc
+                job.last_error = exc = self._raced(exc)
                 span.set_attribute("outcome", "fatal")
                 return "fatal", exc
             span.set_attribute("outcome", OK)
             return OK, value
+
+    def _raced(self, exc: Exception) -> Exception:
+        """An untyped failure of a sanitized job whose thread took part
+        in a detected race is that race's corruption of engine state: a
+        typed :class:`DataRaceError`. The sanitizer records each access
+        before the engine performs it, so the race is already on record."""
+        if self.detector and self.detector.implicates(threading.get_ident()):
+            return DataRaceError(f"job failed after a data race: {exc!r}", cause=exc)
+        return exc
 
     def _complete(
         self,
@@ -862,15 +872,16 @@ class LikelihoodPool:
     def _surface_fatal(
         self, job: Job, outcomes: Dict[int, JobOutcome], exc: BaseException
     ) -> None:
+        raced = isinstance(exc, DataRaceError)
         outcomes[job.index] = JobOutcome(
             index=job.index,
             label=job.label,
             status=SURFACED,
             error=exc,
             attempts=job.attempts,
-            cause="fatal",
+            cause="race" if raced else "fatal",
         )
-        if self._fatal is None:
+        if self._fatal is None and not raced:
             self._fatal = exc
 
     # -- final audit ---------------------------------------------------

@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..beagle.kernels import pattern_max
 from ..beagle.operations import Operation
 from ..obs import get_recorder
 from .errors import (
@@ -434,13 +435,16 @@ class ResilientInstance:
         """Detect NaN/Inf poisoning and underflow in fresh destinations."""
         poisoned: List[int] = []
         underflowed: List[int] = []
-        tip_count = self._inner.tip_count
-        partials = self._inner._partials
-        for op in ops:
-            per_pattern_max = partials[op.destination - tip_count].max(axis=(0, 2))
-            if not np.isfinite(per_pattern_max).all():
+        k, ws = len(ops), self._inner.workspace
+        ws.ensure(k)  # the gather scratch holds the set's destinations
+        slots = [op.destination - self._inner.tip_count for op in ops]
+        stack = np.take(self._inner._partials, slots, axis=0, out=ws.gathered[:k])
+        maxima = pattern_max(stack, *ws.scale_scratch(k)[:2])
+        finite, lowest = np.isfinite(maxima).all(axis=1), maxima.min(axis=1)
+        for op, ok, low in zip(ops, finite, lowest):
+            if not ok:
                 poisoned.append(op.destination)
-            elif float(per_pattern_max.min()) < self._underflow_threshold:
+            elif float(low) < self._underflow_threshold:
                 underflowed.append(op.destination)
         if poisoned:
             raise NumericalError(
@@ -540,8 +544,9 @@ class ResilientInstance:
         if plan.scaling:
             return False
         slot = plan.root_buffer - self._inner.tip_count
-        per_pattern_max = self._inner._partials[slot].max(axis=(0, 2))
-        return float(per_pattern_max.min()) < self._underflow_threshold
+        root = self._inner._partials[slot : slot + 1]
+        maxima = pattern_max(root, *self._inner.workspace.scale_scratch(1)[:2])
+        return float(maxima.min()) < self._underflow_threshold
 
     def _rescue(self, plan, update_matrices: bool) -> float:
         """Rescaling escalation: enable scale buffers, re-plan, re-run."""

@@ -19,6 +19,23 @@ from repro.trees import balanced_tree, pectinate_tree
 MODEL = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
 
 
+def _assert_steady_state(scaling: bool) -> None:
+    tree = balanced_tree(16, branch_length=0.1)
+    patterns = random_patterns(tree.tip_names(), 16, seed=1)
+    inst = create_instance(tree, MODEL, patterns, scaling=scaling)
+    plan = make_plan(tree, scaling=scaling)
+    execute_plan(inst, plan)  # warm-up sizes the workspace
+    ws = inst.workspace
+    allocations = ws.allocations
+    token = ws.buffer_token()
+    values = [execute_plan(inst, plan) for _ in range(5)]
+    assert ws.allocations == allocations
+    assert ws.buffer_token() == token
+    assert len(set(values)) == 1  # bitwise stable, too
+    if scaling:  # whole sets were rescaled through the arena's scratch
+        assert len(ws.scale_logs) >= max(plan.set_sizes)
+
+
 class TestWorkspace:
     def test_ensure_grows_geometrically(self):
         ws = Workspace(np.float64, category_count=2, pattern_count=8, state_count=4)
@@ -48,18 +65,12 @@ class TestWorkspace:
     def test_steady_state_executes_without_allocation(self):
         """Repeated plan executions reuse the same buffers: no ensure()
         growth, and the identity of every large array is stable."""
-        tree = balanced_tree(16, branch_length=0.1)
-        patterns = random_patterns(tree.tip_names(), 16, seed=1)
-        inst = create_instance(tree, MODEL, patterns)
-        plan = make_plan(tree)
-        execute_plan(inst, plan)  # warm-up sizes the workspace
-        ws = inst.workspace
-        allocations = ws.allocations
-        token = ws.buffer_token()
-        values = [execute_plan(inst, plan) for _ in range(5)]
-        assert ws.allocations == allocations
-        assert ws.buffer_token() == token
-        assert len(set(values)) == 1  # bitwise stable, too
+        _assert_steady_state(scaling=False)
+
+    def test_scaled_steady_state_executes_without_allocation(self):
+        """The same with every operation rescaled: the set-level rescale
+        scratch lives in the arena too."""
+        _assert_steady_state(scaling=True)
 
     def test_workspace_sized_by_widest_set(self):
         tree = balanced_tree(32, branch_length=0.1)

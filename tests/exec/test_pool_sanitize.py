@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.planner import create_instance, execute_plan, make_plan
 from repro.data import random_patterns
-from repro.exec import FaultSpec, LikelihoodPool
+from repro.exec import DataRaceError, FaultSpec, LikelihoodPool
 from repro.models import JC69
 from repro.trees import balanced_tree
 
@@ -136,6 +136,62 @@ class TestSanitizerCatchesRaces:
         assert race.first_thread != race.second_thread
         assert "write" in (race.first_access, race.second_access)
         assert str(race.index) in race.format()
+
+    def test_corrupted_engine_state_is_a_typed_race_failure(self, case):
+        # Force the interleaving that used to escape drain() as a bare
+        # ValueError: "left" computes its first set, "right" then
+        # invalidates the shared engine's partials, and "left" reads a
+        # child that is no longer valid.
+        make_case, _ = case
+        shared, plan = make_case()
+        barrier = threading.Barrier(2, timeout=10.0)
+        paused, invalidated, left_done = (threading.Event() for _ in range(3))
+        roles = {}
+        update, invalidate = shared.update_partials_set, shared.invalidate_partials
+
+        def gated_update(ops):
+            update(ops)
+            if roles.get(threading.get_ident()) == "left" and not paused.is_set():
+                paused.set()
+                assert invalidated.wait(10.0)
+
+        def gated_invalidate():
+            invalidate()
+            if roles.get(threading.get_ident()) == "right":
+                invalidated.set()
+                assert left_done.wait(10.0)
+
+        shared.update_partials_set = gated_update
+        shared.invalidate_partials = gated_invalidate
+
+        def left(ctx):
+            roles[threading.get_ident()] = "left"
+            barrier.wait()
+            try:
+                return ctx.execute(shared, plan)
+            finally:
+                left_done.set()
+
+        def right(ctx):
+            roles[threading.get_ident()] = "right"
+            barrier.wait()
+            assert paused.wait(10.0)
+            return ctx.execute(shared, plan)
+
+        pool = LikelihoodPool(
+            2, sanitize=True, executor="thread", audit=False
+        )
+        pool.submit(left, label="left")
+        pool.submit(right, label="right")
+        outcomes = pool.drain()  # no fatal escape
+        failed = outcomes[0]
+        assert failed.status == "surfaced" and failed.cause == "race"
+        assert isinstance(failed.error, DataRaceError)
+        assert isinstance(failed.error.cause, ValueError)
+        assert outcomes[1].ok
+        assert pool.stats().balances(), pool.stats().imbalances()
+        assert pool.race_report().has_code("data-race")
+        assert any(race.kind == "partials" for race in pool.detector.races)
 
     def test_one_report_per_offending_pair(self, case):
         make_case, _ = case
