@@ -1,14 +1,20 @@
-"""Backend matrix: one acceptance run per registered kernel backend.
+"""Backend matrix: the acceptance runs of every registered kernel backend.
 
 The pluggable-backend layer is only worth its indirection if (a) every
 registered backend honours its parity class on the acceptance
-configuration, and (b) at least one non-reference backend is measurably
-faster. This benchmark runs the 256-taxon / 1024-pattern configuration
-through every registered backend, asserts the parity gate, asserts the
-blocked backend's >= 1.2x speedup over the reference, and calibrates a
-:class:`~repro.gpu.device.DeviceSpec` from each backend's measured
-launch timings so the GPU simulator can price schedules off real
-numbers (``repro.gpu.calibrate.fit_device_spec``).
+configurations, and (b) the non-reference backend is measurably faster
+in both set-width regimes. This benchmark runs two 256-taxon cases
+through every registered backend and asserts the parity gate:
+
+* balanced / 1024 patterns, the wide-set regime, where the blocked
+  backend's batch-axis blocks must reach >= 1.2x the reference;
+* pectinate / 64 patterns, the narrow-set regime, where its pattern
+  tiles must reach >= 1.5x.
+
+It also calibrates a :class:`~repro.gpu.device.DeviceSpec` from each
+backend's measured launch timings on the balanced case, so the GPU
+simulator can price schedules off real numbers
+(``repro.gpu.calibrate.fit_device_spec``).
 
 Results land in ``bench_results/backend_matrix.md``.
 """
@@ -30,19 +36,21 @@ from repro.gpu import WorkloadDims, fit_device_spec, launch_time
 from repro.models import random_gtr
 
 TAXA = 256
-SITES = 1024  # the acceptance configuration
 SEED = 1
 
+#: (topology, patterns, minimum blocked-over-reference speedup). The
+#: balanced tree has the widest operation sets (128 ops at the first
+#: level), where blocking along the batch axis matters; the pectinate
+#: tree has one or two operations per set, where only pattern tiles can
+#: cut the working set.
+CASES = [("balanced", 1024, 1.2), ("pectinate", 64, 1.5)]
 
-def acceptance_case():
-    # Balanced topology: the widest operation sets (128 ops at the first
-    # level), i.e. the regime where batched launches — and therefore
-    # cache blocking along the batch axis — actually matter. Narrow-set
-    # topologies execute near-identically on every CPU backend.
+
+def acceptance_case(topology, sites):
     rng = np.random.default_rng(SEED)
-    tree = build_tree("balanced", TAXA, SEED)
+    tree = build_tree(topology, TAXA, SEED)
     model = random_gtr(rng)
-    patterns = random_patterns(tree.tip_names(), SITES, rng=rng)
+    patterns = random_patterns(tree.tip_names(), sites, rng=rng)
     return tree, model, patterns
 
 
@@ -59,46 +67,52 @@ def measure_interleaved(cases, plan, rounds=9):
 
 
 def test_backend_matrix(benchmark, results_dir):
-    tree, model, patterns = acceptance_case()
-    plan = make_plan(tree, "concurrent")
     names = available_resources()
-    assert names[0] == "reference" and "blocked" in names
-
-    loglik, cases = {}, {}
-    for name in names:
-        instance = cases[name] = create_instance(
-            tree, model, patterns, backend=name
-        )
-        loglik[name] = execute_plan(instance, plan)  # warm-up; validates
-    timings = measure_interleaved(cases, plan)
+    assert names == ["reference", "blocked"]
+    reports = {name: parity_report(name) for name in names}
+    for report in reports.values():
+        assert report.ok, report.format()
 
     rows = []
-    reports = {}
-    for name in names:
-        backend = acquire(name)
-        report = reports[name] = parity_report(name)
-        rows.append(
-            {
-                "backend": name,
-                "parity claim": backend.info.parity,
-                "parity gate": "OK" if report.ok else "VIOLATED",
-                "max |dlogL|": f"{report.max_delta:.1e}",
-                "ms/eval": f"{timings[name] * 1e3:.2f}",
-                "speedup": f"{timings['reference'] / timings[name]:.2f}x",
-            }
+    for topology, sites, gate in CASES:
+        tree, model, patterns = acceptance_case(topology, sites)
+        plan = make_plan(tree, "concurrent")
+        loglik, cases = {}, {}
+        for name in names:
+            instance = cases[name] = create_instance(
+                tree, model, patterns, backend=name
+            )
+            loglik[name] = execute_plan(instance, plan)  # warm-up; validates
+        timings = measure_interleaved(cases, plan)
+        for name in names:
+            backend, report = acquire(name), reports[name]
+            rows.append(
+                {
+                    "case": f"{topology}/{sites}",
+                    "backend": name,
+                    "parity claim": backend.info.parity,
+                    "parity gate": "OK" if report.ok else "VIOLATED",
+                    "max |dlogL|": f"{report.max_delta:.1e}",
+                    "ms/eval": f"{timings[name] * 1e3:.2f}",
+                    "speedup": f"{timings['reference'] / timings[name]:.2f}x",
+                }
+            )
+            # Same-dtype NumPy variants must also match on the acceptance
+            # configs themselves, not just the parity battery's smaller
+            # cases.
+            if backend.info.parity == "bit-identical":
+                assert loglik[name] == loglik["reference"]
+        speedup = timings["reference"] / timings["blocked"]
+        assert speedup >= gate, (
+            f"blocked speedup {speedup:.2f}x on {topology}/{sites} below "
+            f"the {gate}x gate"
         )
-        assert report.ok, report.format()
-        # Same-dtype NumPy variants must also match on the acceptance
-        # config itself, not just the parity battery's smaller cases.
-        if backend.info.parity == "bit-identical":
-            assert loglik[name] == loglik["reference"]
 
-    speedup = timings["reference"] / timings["blocked"]
-    assert speedup >= 1.2, f"blocked speedup {speedup:.2f}x below the 1.2x gate"
-
+    tree, model, patterns = acceptance_case("balanced", 1024)
+    plan = make_plan(tree, "concurrent")
     # Calibrate a DeviceSpec per backend from measured per-set timings:
     # the launch-cost line t = a + b*k fitted over single-launch probes.
-    dims = WorkloadDims(SITES, model.n_states, 1)
+    dims = WorkloadDims(patterns.n_patterns, model.n_states, 1)
     calib_rows = []
     for name in names:
         instance = create_instance(tree, model, patterns, backend=name)
@@ -128,12 +142,10 @@ def test_backend_matrix(benchmark, results_dir):
         # The calibrated spec must price the measured points sanely.
         assert modelled == pytest.approx(measured, rel=0.5)
 
-    text = format_table(
-        rows,
-        title=f"Backend matrix: balanced {TAXA}-OTU tree, {SITES} patterns",
-    )
+    text = format_table(rows, title=f"Backend matrix: {TAXA}-OTU trees")
     text += "\n" + format_table(
-        calib_rows, title="Calibrated DeviceSpec per backend (t = a + b*k fit)"
+        calib_rows,
+        title="Calibrated DeviceSpec per backend (t = a + b*k fit, balanced/1024)",
     )
     emit(results_dir, "backend_matrix.md", text)
 

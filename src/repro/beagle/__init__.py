@@ -25,16 +25,10 @@ from .backend import (
     BackendInfo,
     KernelBackend,
 )
-from .backends import (
-    NUMBA_AVAILABLE,
-    BlockedNumpyBackend,
-    NumbaBackend,
-    ReferenceBackend,
-)
+from .backends import BlockedNumpyBackend, ReferenceBackend
 from .resources import (
     BACKEND_ENV_VAR,
     DEFAULT_RESOURCE,
-    ResourceRequirements,
     UnknownResourceError,
     acquire,
     available_resources,
@@ -66,11 +60,8 @@ __all__ = [
     "KernelBackend",
     "ReferenceBackend",
     "BlockedNumpyBackend",
-    "NumbaBackend",
-    "NUMBA_AVAILABLE",
     "BACKEND_ENV_VAR",
     "DEFAULT_RESOURCE",
-    "ResourceRequirements",
     "UnknownResourceError",
     "register_resource",
     "available_resources",

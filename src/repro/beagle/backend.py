@@ -32,7 +32,7 @@ backend object may serve any number of instances concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -76,9 +76,6 @@ class BackendInfo:
         Maximum absolute log-likelihood deviation from the reference
         backend a :data:`PARITY_TOLERANCE` backend may show. Must be
         ``0.0`` for bit-identical backends.
-    requires:
-        Optional import requirements (e.g. ``("numba",)``); a backend is
-        only registered when every requirement is importable.
     """
 
     name: str
@@ -86,7 +83,6 @@ class BackendInfo:
     kind: str = "cpu"
     parity: str = PARITY_BIT_IDENTICAL
     tolerance: float = 0.0
-    requires: tuple = field(default=())
 
     def __post_init__(self) -> None:
         if self.parity not in (PARITY_BIT_IDENTICAL, PARITY_TOLERANCE):

@@ -6,31 +6,19 @@ protocol for one execution strategy:
 * :mod:`~repro.beagle.backends.reference` — the baseline NumPy engine,
   exactly the code that lived inline in ``BeagleInstance`` before the
   backend split. Its numbers *define* correctness for the parity gate.
-* :mod:`~repro.beagle.backends.blocked` — the same NumPy call sequence
-  applied in cache-sized blocks along the operation axis; bit-identical
-  to the reference and measurably faster on wide operation sets.
-* :mod:`~repro.beagle.backends.pattern_blocked` — the orthogonal cut:
-  pattern-axis tiling for *narrow* sets (pectinate/random regimes where
-  there is no batch axis to partition), batch-axis blocking otherwise;
-  bit-identical on both paths.
-* :mod:`~repro.beagle.backends.numba_backend` — optional: the blocked
-  strategy with the batched matmul compiled by numba when that package
-  is importable. Never required; registered only when available.
+* :mod:`~repro.beagle.backends.blocked` — the same arithmetic in cache-
+  sized pieces: narrow sets in pattern tiles, wide sets in batch-axis
+  blocks, both sized from the instance dimensions; bit-identical to the
+  reference and measurably faster on narrow and on wide sets.
 
-Backends register with :mod:`repro.beagle.resources`; nothing imports
+Both share the operation-set executor in
+:mod:`~repro.beagle.backends.setexec`. Backends register with
+:mod:`repro.beagle.resources`; nothing imports
 :mod:`repro.beagle.instance` from here (the dependency points the other
 way).
 """
 
 from .reference import ReferenceBackend
 from .blocked import BlockedNumpyBackend
-from .pattern_blocked import PatternBlockedBackend
-from .numba_backend import NUMBA_AVAILABLE, NumbaBackend
 
-__all__ = [
-    "ReferenceBackend",
-    "BlockedNumpyBackend",
-    "PatternBlockedBackend",
-    "NumbaBackend",
-    "NUMBA_AVAILABLE",
-]
+__all__ = ["ReferenceBackend", "BlockedNumpyBackend"]

@@ -3,120 +3,197 @@
 The reference backend streams a whole k-operation set through arena
 buffers of ``2k`` rows — at 256 taxa × 1024 patterns that is tens of
 megabytes touched per launch, far beyond any CPU cache level. This
-backend partitions the set into blocks of ``B`` operations along the
-batch axis and runs the identical call sequence per block, keeping the
-hot arena rows cache-resident. Because the batched GEMM is a loop of
-independent 2-D multiplies, the partition changes *nothing* about the
-arithmetic: results are bit-identical to the reference backend (parity
-class ``bit-identical``), while the measured wall clock on wide sets
-drops ~1.3× on the acceptance config (see
-``bench_results/backend_matrix.md``).
+backend cuts each set along whichever axis it has:
+
+* **Wide sets** (at least :data:`NARROW_SET` operations) are partitioned
+  into blocks of ``B`` operations along the batch axis, and the shared
+  set executor runs the identical call sequence per block through a
+  ``B``-row arena, keeping the hot rows cache-resident.
+* **Narrow sets** (a pectinate or random tree's one- or two-operation
+  sets) have no batch axis to cut. Each operation is assembled straight
+  into its destination, pattern tile by pattern tile, keeping the
+  tile's child contributions and destination slice cache-resident.
+
+Both sizes follow from the instance's row size ``C·P·S·itemsize`` and
+the one budget :data:`CACHE_BUDGET_BYTES`; nothing is configurable.
+
+Bit-identity holds on both paths: the batched GEMM is a loop of
+independent 2-D multiplies, and a pattern tile of ``L @ Pᵀ`` is a row
+partition of independent ``(S,)·(S,S)`` products (the reduction axis
+``S`` is untouched), so neither partition changes the arithmetic as
+long as every tile hands BLAS the operands in the set executor's memory
+layout and is more than one pattern wide. The tip-code path is an exact
+gather, and rescaling runs over the fully assembled destination. The
+parity suites assert the equality empirically, down to every buffer
+(``tests/beagle/test_backends.py``,
+``tests/property/test_backend_parity.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
+import numpy as np
+
+from ...obs import get_recorder
+from ...obs.profile import PHASE_PARTIALS, PHASE_SCALING
 from ..backend import BackendInfo
 from .reference import ReferenceBackend
-from .setexec import MatmulHook, execute_operation_block, execute_upper_block
+from .setexec import execute_operation_block, execute_upper_block, upper_slots
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..instance import BeagleInstance
     from ..operations import Operation
 
-__all__ = ["BlockedNumpyBackend", "DEFAULT_CACHE_BUDGET_BYTES"]
+__all__ = ["BlockedNumpyBackend", "CACHE_BUDGET_BYTES", "NARROW_SET"]
 
-#: Target working-set size of one block. The block's hot rows span three
-#: ``(2B, C, P, S)`` arrays (contributions, scratch, gathered); 768 KiB
-#: keeps them comfortably L2-resident, which measured fastest in the
-#: block-size sweep (B = 4 on the 256-taxon/1024-pattern f64 config,
-#: 1.3x over the reference; larger budgets plateaued by B ≈ 32).
-DEFAULT_CACHE_BUDGET_BYTES = 768 * 1024
+#: Target working-set size of one block or tile. A block's hot rows span
+#: three ``(2B, C, P, S)`` arrays (contributions, scratch, gathered); a
+#: tile's, six ``(C, tile, S)`` slices (two child contributions, the
+#: destination, transpose and gather scratch). 768 KiB keeps either
+#: comfortably L2-resident, which measured fastest in the block-size
+#: sweep (B = 4 on the 256-taxon/1024-pattern f64 config; larger budgets
+#: plateaued by B ≈ 32).
+CACHE_BUDGET_BYTES = 768 * 1024
 
-_MIN_BLOCK = 4
-_MAX_BLOCK = 64
+#: Sets with fewer operations than this run in pattern tiles; wider sets
+#: run in batch-axis blocks.
+NARROW_SET = 4
+
+_MIN_BLOCK, _MAX_BLOCK = 4, 64
+_MIN_TILE = 64
+
+
+def _fits(row_bytes: int) -> int:
+    """How many ``row_bytes`` rows fit six times into the budget."""
+    return CACHE_BUDGET_BYTES // max(6 * row_bytes, 1)
+
+
+def block_size(instance: "BeagleInstance") -> int:
+    """Operations per batch-axis block, clamped to ``[4, 64]``."""
+    row = (
+        instance.category_count
+        * instance.pattern_count
+        * instance.state_count
+        * instance.dtype.itemsize
+    )
+    return min(max(_fits(row), _MIN_BLOCK), _MAX_BLOCK)
+
+
+def tile_size(instance: "BeagleInstance") -> int:
+    """Patterns per tile: at least 64, at most the pattern count."""
+    per_pattern = (
+        instance.category_count * instance.state_count * instance.dtype.itemsize
+    )
+    return min(max(_fits(per_pattern), _MIN_TILE), instance.pattern_count)
+
+
+def _in_blocks(
+    instance: "BeagleInstance", operations: List["Operation"], execute
+) -> None:
+    """Run the set executor ``execute`` over consecutive blocks through a
+    block-sized arena."""
+    k, block, ws = len(operations), block_size(instance), instance.workspace
+    ws.ensure(min(k, block))
+    for lo in range(0, k, block):
+        execute(instance, ws, operations, lo, min(lo + block, k))
+
+
+def _times(partials: np.ndarray, matrices: np.ndarray):
+    """``partials @ Pᵀ`` per pattern range, against the contiguous ``Pᵀ``
+    copy the set executor multiplies by (BLAS may order the sums of a
+    transposed view differently)."""
+    matrices_T = np.ascontiguousarray(matrices.transpose(0, 2, 1))
+    return lambda p0, p1: partials[:, p0:p1] @ matrices_T
+
+
+def _lower(instance: "BeagleInstance", buffer_index: int, matrix_index: int):
+    """One lower-bank child's contribution as a function of the pattern
+    range, computed exactly as the set executor computes it."""
+    partials, codes = instance._child_arrays(buffer_index)
+    matrices = instance._matrices[matrix_index]
+    if codes is not None:
+        # Rows of Pᵀ gathered by state, a ones row standing in for the
+        # unknown code S: exact copies, laid out contiguously.
+        C, S = instance.category_count, instance.state_count
+        padded_T = np.ones((C, S + 1, S), dtype=instance.dtype)
+        padded_T[:, :S] = matrices.transpose(0, 2, 1)
+        return lambda p0, p1: np.take(padded_T, codes[p0:p1], axis=1)
+    if buffer_index < instance.tip_count:
+        # Rare explicit tip partials: the executor's one full-width
+        # product against the transposed view, sliced per tile.
+        full = partials @ matrices.transpose(0, 2, 1)
+        return lambda p0, p1: full[:, p0:p1]
+    return _times(partials, matrices)
+
+
+def _tiled_product(
+    instance: "BeagleInstance", out: np.ndarray, first, second
+) -> None:
+    """Eq. 1 into ``out``: the product of two child contributions, tile
+    by tile. Tiles split the patterns evenly, so none is a single
+    pattern, which BLAS would route through a differently ordered
+    matrix-vector kernel."""
+    P = instance.pattern_count
+    n = -(-P // tile_size(instance))
+    bounds = [P * i // n for i in range(n + 1)]
+    for p0, p1 in zip(bounds, bounds[1:]):
+        np.multiply(first(p0, p1), second(p0, p1), out=out[:, p0:p1])
 
 
 class BlockedNumpyBackend(ReferenceBackend):
-    """Reference arithmetic in cache-sized blocks along the batch axis.
-
-    Parameters
-    ----------
-    block_ops:
-        Fixed operations per block; ``None`` (default) sizes blocks from
-        ``cache_budget_bytes`` and the instance dimensions, clamped to
-        ``[4, 64]``.
-    cache_budget_bytes:
-        Working-set target for automatic block sizing.
-    """
+    """Reference arithmetic in cache-sized pattern tiles or batch blocks."""
 
     _info = BackendInfo(
         name="blocked",
-        description="cache-blocked NumPy engine (bit-identical, ~1.3x on wide sets)",
+        description=(
+            "cache-blocked NumPy engine: pattern tiles for narrow sets, "
+            "batch-axis blocks for wide"
+        ),
         kind="cpu",
         parity="bit-identical",
     )
 
-    def __init__(
-        self,
-        block_ops: Optional[int] = None,
-        cache_budget_bytes: int = DEFAULT_CACHE_BUDGET_BYTES,
-    ) -> None:
-        if block_ops is not None and block_ops < 1:
-            raise ValueError("block_ops must be positive")
-        if cache_budget_bytes < 1:
-            raise ValueError("cache_budget_bytes must be positive")
-        self._block_ops = block_ops
-        self._cache_budget_bytes = cache_budget_bytes
-
-    def block_for(self, instance: "BeagleInstance") -> int:
-        """Operations per block for this instance's dimensions."""
-        if self._block_ops is not None:
-            return self._block_ops
-        # Three hot (2B, C, P, S) arrays per block: contributions,
-        # scratch and gathered — 6·B·C·P·S elements.
-        row_bytes = (
-            instance.category_count
-            * instance.pattern_count
-            * instance.state_count
-            * instance.dtype.itemsize
-        )
-        block = self._cache_budget_bytes // max(6 * row_bytes, 1)
-        return int(min(max(block, _MIN_BLOCK), _MAX_BLOCK))
-
-    def _matmul(self) -> MatmulHook:
-        """Batched-matmul override for subclasses; BLAS when ``None``."""
-        return None
-
     def update_partials_batch(
         self, instance: "BeagleInstance", operations: List["Operation"]
     ) -> None:
-        """Evaluate the set block by block through a block-sized arena."""
-        k = len(operations)
-        block = self.block_for(instance)
-        ws = instance.workspace
-        ws.ensure(min(k, block))
-        matmul = self._matmul()
-        for lo in range(0, k, block):
-            execute_operation_block(
-                instance, ws, operations, lo, min(lo + block, k), matmul=matmul
-            )
+        """Narrow sets pattern-tiled, wide sets batch-axis blocked."""
+        if len(operations) >= NARROW_SET:
+            _in_blocks(instance, operations, execute_operation_block)
+            return
+        for op in operations:
+            slot = instance._internal_slot(op.destination)
+            out = instance._partials[slot]
+            with get_recorder().phase(PHASE_PARTIALS):
+                _tiled_product(
+                    instance,
+                    out,
+                    _lower(instance, op.child1, op.child1_matrix),
+                    _lower(instance, op.child2, op.child2_matrix),
+                )
+            if op.destination_scale >= 0:
+                with get_recorder().phase(PHASE_SCALING):
+                    logs = self.rescale(out, instance.workspace)
+                    instance.scale.write(op.destination_scale, logs)
+            instance._partials_valid[slot] = True
 
     def update_upper_partials(
         self, instance: "BeagleInstance", operations: List["Operation"]
     ) -> None:
-        """Evaluate one pre-order upper set block by block."""
-        k = len(operations)
-        block = self.block_for(instance)
-        ws = instance.workspace
-        ws.ensure(min(k, block))
-        matmul = self._matmul()
-        for lo in range(0, k, block):
-            execute_upper_block(
-                instance, ws, operations, lo, min(lo + block, k), matmul=matmul
-            )
+        """Pre-order twin: narrow upper sets pattern-tiled as well."""
+        if len(operations) >= NARROW_SET:
+            _in_blocks(instance, operations, execute_upper_block)
+            return
+        upper, upper_valid = instance._upper, instance._upper_valid
+        assert upper is not None and upper_valid is not None
+        for op in operations:
+            parent, dest = upper_slots(instance, op)
+            with get_recorder().phase(PHASE_PARTIALS):
+                _tiled_product(
+                    instance,
+                    upper[dest],
+                    _lower(instance, op.child1, op.child1_matrix),
+                    _times(upper[parent], instance._matrices[op.child2_matrix]),
+                )
+            upper_valid[dest] = True
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        block = self._block_ops if self._block_ops is not None else "auto"
-        return f"<{type(self).__name__} {self._info.name} block={block}>"

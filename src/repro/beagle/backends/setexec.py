@@ -1,11 +1,11 @@
-"""Shared operation-set executor used by every NumPy-family backend.
+"""Shared operation-set executor of the two NumPy backends.
 
 :func:`execute_operation_block` evaluates the slice ``ops[lo:hi]`` of an
 independent operation set through a :class:`~repro.beagle.workspace.Workspace`
 arena — classification, gathers, batched matmuls, the contribution
 product, one stacked rescale and the destination scatter. The
 reference backend runs one block covering the whole set; the blocked
-backend partitions the set into cache-sized blocks and loops.
+backend partitions wide sets into cache-sized blocks and loops.
 
 Bit-identity across block boundaries is structural, not incidental: the
 batched ``matmul`` over ``(n, C, P, S)`` stacks is a loop of independent
@@ -21,7 +21,7 @@ the same layout the monolithic engine used for the whole set.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -33,14 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..operations import Operation
     from ..workspace import Workspace
 
-__all__ = ["execute_operation_block", "execute_upper_block", "MatmulHook"]
-
-#: Signature of a batched-matmul override: ``hook(gathered, mats, out)``
-#: computes ``out[i] = gathered[i] @ mats[i].T`` per category for stacks
-#: of ``(n, C, P, S)`` partials and ``(n, C, S, S)`` (untransposed)
-#: matrices. ``None`` selects the BLAS path through the arena's
-#: transpose scratch.
-MatmulHook = Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]]
+__all__ = ["execute_operation_block", "execute_upper_block", "upper_slots"]
 
 
 def _classify(
@@ -81,7 +74,6 @@ def _contributions(
     instance: "BeagleInstance",
     ws: "Workspace",
     counts: Tuple[int, int, int],
-    matmul: MatmulHook,
 ) -> None:
     """Write every classified row's contribution ``L @ Pᵀ`` into
     ``ws.contributions``, one batched call per bucket."""
@@ -102,11 +94,8 @@ def _contributions(
             axis=0,
             out=ws.mats[:n_int],
         )
-        if matmul is None:
-            np.copyto(ws.mats_T[:n_int], ws.mats[:n_int].transpose(0, 1, 3, 2))
-            np.matmul(ws.gathered[:n_int], ws.mats_T[:n_int], out=ws.scratch[:n_int])
-        else:
-            matmul(ws.gathered[:n_int], ws.mats[:n_int], ws.scratch[:n_int])
+        np.copyto(ws.mats_T[:n_int], ws.mats[:n_int].transpose(0, 1, 3, 2))
+        np.matmul(ws.gathered[:n_int], ws.mats_T[:n_int], out=ws.scratch[:n_int])
         ws.contributions[ws.internal_sel[:n_int]] = ws.scratch[:n_int]
     if n_code:
         # Compact tips: transpose matrices and pad a ones row at state
@@ -153,13 +142,27 @@ def _contributions(
         )
 
 
+def upper_slots(instance: "BeagleInstance", op: "Operation") -> Tuple[int, int]:
+    """Validated upper-bank slots ``(parent, destination)`` of one
+    upper-partial operation."""
+    upper, base = instance._upper, instance.upper_base
+    assert upper is not None and instance._upper_valid is not None
+    parent, dest = op.child2 - base, op.destination - base
+    if not 0 <= parent < upper.shape[0]:
+        raise IndexError(f"upper buffer {op.child2} out of range")
+    if not instance._upper_valid[parent]:
+        raise ValueError(f"upper buffer {op.child2} read before being computed")
+    if not 0 <= dest < upper.shape[0]:
+        raise IndexError(f"upper destination {op.destination} out of range")
+    return parent, dest
+
+
 def execute_operation_block(
     instance: "BeagleInstance",
     ws: "Workspace",
     ops: List["Operation"],
     lo: int,
     hi: int,
-    matmul: MatmulHook = None,
 ) -> None:
     """Evaluate operations ``ops[lo:hi]`` through the arena ``ws``.
 
@@ -182,7 +185,7 @@ def execute_operation_block(
             if not 0 <= slot < instance.partials_buffer_count:
                 raise IndexError("destination buffer out of range")
             ws.dest_slots[i] = slot
-        _contributions(instance, ws, counts, matmul)
+        _contributions(instance, ws, counts)
         product = ws.contributions[:nb]
         np.multiply(product, ws.contributions[nb : 2 * nb], out=product)
     scaled = [i for i, op in enumerate(block) if op.destination_scale >= 0]
@@ -210,7 +213,6 @@ def execute_upper_block(
     ops: List["Operation"],
     lo: int,
     hi: int,
-    matmul: MatmulHook = None,
 ) -> None:
     """Evaluate *upper*-partial operations ``ops[lo:hi]`` through ``ws``.
 
@@ -230,7 +232,6 @@ def execute_upper_block(
     """
     nb = hi - lo
     block = ops[lo:hi]
-    base = instance.upper_base
     upper = instance._upper
     upper_valid = instance._upper_valid
     assert upper is not None and upper_valid is not None
@@ -242,37 +243,19 @@ def execute_upper_block(
         )
         # Second children (upper bank) and destinations: pure slot math.
         for i, op in enumerate(block):
-            slot = op.child2 - base
-            if not 0 <= slot < upper.shape[0]:
-                raise IndexError(f"upper buffer {op.child2} out of range")
-            if not upper_valid[slot]:
-                raise ValueError(
-                    f"upper buffer {op.child2} read before being computed"
-                )
-            ws.upper_slots[i] = slot
+            ws.upper_slots[i], ws.dest_slots[i] = upper_slots(instance, op)
             ws.upper_mats[i] = op.child2_matrix
-            dest = op.destination - base
-            if not 0 <= dest < upper.shape[0]:
-                raise IndexError(
-                    f"upper destination {op.destination} out of range"
-                )
-            ws.dest_slots[i] = dest
-        _contributions(instance, ws, counts, matmul)
+        _contributions(instance, ws, counts)
 
         # Parent uppers: gather, batched L @ Pᵀ into the second-child rows.
         np.take(upper, ws.upper_slots[:nb], axis=0, out=ws.gathered[:nb])
         np.take(
             instance._matrices, ws.upper_mats[:nb], axis=0, out=ws.mats[:nb]
         )
-        if matmul is None:
-            np.copyto(ws.mats_T[:nb], ws.mats[:nb].transpose(0, 1, 3, 2))
-            np.matmul(
-                ws.gathered[:nb],
-                ws.mats_T[:nb],
-                out=ws.contributions[nb : 2 * nb],
-            )
-        else:
-            matmul(ws.gathered[:nb], ws.mats[:nb], ws.contributions[nb : 2 * nb])
+        np.copyto(ws.mats_T[:nb], ws.mats[:nb].transpose(0, 1, 3, 2))
+        np.matmul(
+            ws.gathered[:nb], ws.mats_T[:nb], out=ws.contributions[nb : 2 * nb]
+        )
 
         product = ws.contributions[:nb]
         np.multiply(product, ws.contributions[nb : 2 * nb], out=product)

@@ -1,13 +1,12 @@
 """Resource discovery for kernel backends (the BEAGLE resource API).
 
 BEAGLE programs never name an implementation — they enumerate
-*resources* (``beagleGetResourceList``) and acquire whatever matches
-their requirements; pytbeaglehon wraps the same flow for Python. This
-module is that surface for the NumPy work-alike:
+*resources* (``beagleGetResourceList``) and acquire one of them;
+pytbeaglehon wraps the same flow for Python. This module is that
+surface for the NumPy work-alike:
 
 * :func:`list_resources` — descriptors of every registered backend.
-* :func:`acquire` — a backend by name or by
-  :class:`ResourceRequirements`; unknown requests raise the typed
+* :func:`acquire` — a backend by name; unknown names raise the typed
   :class:`UnknownResourceError` carrying the available names.
 * :func:`resolve_backend` — the engine's entry point: maps ``None`` (the
   ``REPRO_BACKEND`` environment variable, then the reference default), a
@@ -27,21 +26,14 @@ from __future__ import annotations
 import os
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 from .backend import BackendInfo, KernelBackend
-from .backends import (
-    NUMBA_AVAILABLE,
-    BlockedNumpyBackend,
-    PatternBlockedBackend,
-    ReferenceBackend,
-)
+from .backends import BlockedNumpyBackend, ReferenceBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_RESOURCE",
-    "ResourceRequirements",
     "UnknownResourceError",
     "register_resource",
     "available_resources",
@@ -74,36 +66,7 @@ class UnknownResourceError(LookupError):
         )
 
 
-@dataclass(frozen=True)
-class ResourceRequirements:
-    """Constraints for :func:`acquire`; ``None`` fields match anything.
-
-    Attributes
-    ----------
-    name:
-        Exact registry name.
-    kind:
-        Hardware class (``"cpu"``, ``"gpu"``).
-    parity:
-        Required parity class (``"bit-identical"`` / ``"tolerance"``).
-    """
-
-    name: Optional[str] = None
-    kind: Optional[str] = None
-    parity: Optional[str] = None
-
-    def matches(self, info: BackendInfo) -> bool:
-        """Does a backend descriptor satisfy these requirements?"""
-        return (
-            (self.name is None or info.name == self.name)
-            and (self.kind is None or info.kind == self.kind)
-            and (self.parity is None or info.parity == self.parity)
-        )
-
-
-# Registration order is acquisition-preference order: the reference
-# backend first, so requirement-based acquisition defaults to ground
-# truth unless the requirements exclude it.
+# Registration order is listing order: the reference backend first.
 _REGISTRY: "OrderedDict[str, Callable[[], KernelBackend]]" = OrderedDict()
 
 
@@ -123,40 +86,30 @@ def register_resource(
 
 
 def available_resources() -> List[str]:
-    """Registered resource names, in registration (preference) order."""
+    """Registered resource names, in registration order."""
     return list(_REGISTRY)
 
 
 def list_resources() -> List[BackendInfo]:
-    """Descriptors of every registered backend, in preference order."""
+    """Descriptors of every registered backend, in registration order."""
     return [factory().info for factory in _REGISTRY.values()]
 
 
-def acquire(
-    requirements: Union[None, str, ResourceRequirements] = None,
-) -> KernelBackend:
-    """A backend matching ``requirements`` (first registered wins).
-
-    ``None`` acquires the default resource, a string the exact name, a
-    :class:`ResourceRequirements` the first descriptor it matches.
+def acquire(name: Optional[str] = None) -> KernelBackend:
+    """The backend registered as ``name`` (``None``: the default resource).
 
     Raises
     ------
     UnknownResourceError
-        If nothing matches; the error lists the available resources.
+        If no backend has that name; the error lists the available
+        resources.
     """
-    if requirements is None:
-        requirements = DEFAULT_RESOURCE
-    if isinstance(requirements, str):
-        factory = _REGISTRY.get(requirements)
-        if factory is None:
-            raise UnknownResourceError(requirements, available_resources())
-        return factory()
-    for factory in _REGISTRY.values():
-        backend = factory()
-        if requirements.matches(backend.info):
-            return backend
-    raise UnknownResourceError(requirements, available_resources())
+    if name is None:
+        name = DEFAULT_RESOURCE
+    factory = _REGISTRY.get(name)
+    if factory is None:
+        raise UnknownResourceError(name, available_resources())
+    return factory()
 
 
 def resolve_backend(
@@ -185,11 +138,6 @@ def resolve_backend(
 
 register_resource("reference", ReferenceBackend)
 register_resource("blocked", BlockedNumpyBackend)
-register_resource("pattern-blocked", PatternBlockedBackend)
-if NUMBA_AVAILABLE:  # pragma: no cover - numba absent in this container
-    from .backends import NumbaBackend
-
-    register_resource("numba", NumbaBackend)
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:

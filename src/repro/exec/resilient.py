@@ -432,20 +432,29 @@ class ResilientInstance:
             self._verify_destinations(ops)
 
     def _verify_destinations(self, ops: List[Operation]) -> None:
-        """Detect NaN/Inf poisoning and underflow in fresh destinations."""
+        """Detect NaN/Inf poisoning and underflow in fresh destinations.
+
+        Destinations are gathered into the arena's ``gathered`` rows in
+        chunks of its current capacity, so verifying never grows the
+        arena past the size the backend chose (a blocked backend's
+        block); a set the arena already holds is one chunk.
+        """
         poisoned: List[int] = []
         underflowed: List[int] = []
-        k, ws = len(ops), self._inner.workspace
-        ws.ensure(k)  # the gather scratch holds the set's destinations
-        slots = [op.destination - self._inner.tip_count for op in ops]
-        stack = np.take(self._inner._partials, slots, axis=0, out=ws.gathered[:k])
-        maxima = pattern_max(stack, *ws.scale_scratch(k)[:2])
-        finite, lowest = np.isfinite(maxima).all(axis=1), maxima.min(axis=1)
-        for op, ok, low in zip(ops, finite, lowest):
-            if not ok:
-                poisoned.append(op.destination)
-            elif float(low) < self._underflow_threshold:
-                underflowed.append(op.destination)
+        ws, tips = self._inner.workspace, self._inner.tip_count
+        ws.ensure(1)
+        for lo in range(0, len(ops), ws.capacity):
+            chunk = ops[lo : lo + ws.capacity]
+            k = len(chunk)
+            slots = [op.destination - tips for op in chunk]
+            stack = np.take(self._inner._partials, slots, axis=0, out=ws.gathered[:k])
+            maxima = pattern_max(stack, *ws.scale_scratch(k)[:2])
+            finite, lowest = np.isfinite(maxima).all(axis=1), maxima.min(axis=1)
+            for op, ok, low in zip(chunk, finite, lowest):
+                if not ok:
+                    poisoned.append(op.destination)
+                elif float(low) < self._underflow_threshold:
+                    underflowed.append(op.destination)
         if poisoned:
             raise NumericalError(
                 f"non-finite partials in buffers {poisoned}",

@@ -17,7 +17,6 @@ from .streams import (
 )
 from .simulator import (
     BenchmarkPoint,
-    IncrementalTiming,
     ShardTiming,
     SimulatedDevice,
     simulate_tree,
@@ -41,7 +40,6 @@ __all__ = [
     "SimulatedDevice",
     "BenchmarkPoint",
     "ShardTiming",
-    "IncrementalTiming",
     "simulate_tree",
     "simulated_speedup",
     "fit_device_spec",

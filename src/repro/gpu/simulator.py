@@ -39,7 +39,6 @@ __all__ = [
     "BenchmarkPoint",
     "CoalesceTiming",
     "GradientTiming",
-    "IncrementalTiming",
     "PoolTiming",
     "ShardTiming",
     "simulate_tree",
@@ -57,39 +56,6 @@ class BenchmarkPoint:
     seconds: float
     gflops: float
     speedup_vs_serial: float
-
-
-@dataclass(frozen=True)
-class IncrementalTiming:
-    """Modelled full-traversal vs dirty-path timing of one proposal.
-
-    Attributes
-    ----------
-    full:
-        Timing of the full-traversal plan (what a non-incremental
-        sampler pays per proposal).
-    incremental:
-        Timing of the dirty-path plan for the same proposal.
-    """
-
-    full: EvaluationTiming
-    incremental: EvaluationTiming
-
-    @property
-    def speedup(self) -> float:
-        """Full-traversal seconds over dirty-path seconds."""
-        if self.incremental.seconds <= 0.0:
-            return float("inf")
-        return self.full.seconds / self.incremental.seconds
-
-    @property
-    def operations_saved(self) -> int:
-        """Partial-likelihood operations the dirty path avoids."""
-        full_ops = sum(launch.n_operations for launch in self.full.launches)
-        inc_ops = sum(
-            launch.n_operations for launch in self.incremental.launches
-        )
-        return full_ops - inc_ops
 
 
 @dataclass(frozen=True)
@@ -315,40 +281,6 @@ class SimulatedDevice:
                 PHASE_MODELLED, timing.seconds, calls=timing.n_launches
             )
         return timing
-
-    def time_plan_incremental(
-        self, plan: ExecutionPlan, dims: WorkloadDims
-    ) -> EvaluationTiming:
-        """Simulated timing of a dirty-path (incremental) plan.
-
-        Same analytical model as :meth:`time_plan` — incremental plans
-        are ordinary :class:`~repro.core.planner.ExecutionPlan` objects,
-        just shorter — but the method refuses a full-traversal plan so
-        callers cannot silently time the wrong thing. Modelled seconds
-        are credited to :data:`~repro.obs.profile.PHASE_MODELLED`.
-        """
-        if not plan.incremental:
-            raise ValueError(
-                "plan is a full traversal; use time_plan for it"
-            )
-        return self.time_plan(plan, dims)
-
-    def incremental_speedup(
-        self,
-        full_plan: ExecutionPlan,
-        incremental_plan: ExecutionPlan,
-        dims: WorkloadDims,
-    ) -> IncrementalTiming:
-        """Modelled economics of one dirty-path proposal.
-
-        Times the full-traversal plan and the incremental plan under the
-        same workload dimensions and returns both with the speedup and
-        operations-saved accounting — the per-proposal quantity the
-        incremental MCMC benchmark aggregates.
-        """
-        full = self.time_plan(full_plan, dims)
-        incremental = self.time_plan_incremental(incremental_plan, dims)
-        return IncrementalTiming(full=full, incremental=incremental)
 
     def _set_cost(
         self, dims: WorkloadDims, k: int, mechanism: str, n_streams: int

@@ -8,19 +8,26 @@ import numpy as np
 import pytest
 
 from repro.beagle import (
-    NUMBA_AVAILABLE,
     BackendInfo,
     BlockedNumpyBackend,
     KernelBackend,
-    NumbaBackend,
     ReferenceBackend,
     Workspace,
     parity_report,
 )
+from repro.beagle.backends import blocked
 from repro.bench.harness import build_tree
-from repro.core import create_instance, execute_plan, make_plan
-from repro.data import random_patterns
-from repro.models import random_gtr
+from repro.core import (
+    create_instance,
+    execute_gradient_plan,
+    execute_plan,
+    make_gradient_plan,
+    make_plan,
+    optimal_reroot_fast,
+)
+from repro.data import AMINO_ACID, random_patterns
+from repro.models import discrete_gamma, random_gtr, synthetic_empirical
+from tests.partitioned import FixedBlockBackend
 
 DOCS = Path(__file__).resolve().parents[2] / "docs" / "BACKENDS.md"
 
@@ -99,26 +106,26 @@ class TestBlockedBitIdentity:
     def test_explicit_block_sizes(self, block):
         case = _case()
         expected = _loglik(ReferenceBackend(), case)
-        got = _loglik(BlockedNumpyBackend(block_ops=block), case)
+        got = _loglik(FixedBlockBackend(block), case)
         assert got == expected  # exact, not approx
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_both_precisions(self, dtype):
         case = _case()
         expected = _loglik(ReferenceBackend(), case, dtype=dtype)
-        got = _loglik(BlockedNumpyBackend(block_ops=2), case, dtype=dtype)
+        got = _loglik(BlockedNumpyBackend(), case, dtype=dtype)
         assert got == expected
 
     def test_with_scaling(self):
         case = _case()
         expected = _loglik(ReferenceBackend(), case, scaling=True)
-        got = _loglik(BlockedNumpyBackend(block_ops=2), case, scaling=True)
+        got = _loglik(BlockedNumpyBackend(), case, scaling=True)
         assert got == expected
 
     def test_serial_mode(self):
         case = _case()
         expected = _loglik(ReferenceBackend(), case, mode="serial")
-        got = _loglik(BlockedNumpyBackend(block_ops=2), case, mode="serial")
+        got = _loglik(BlockedNumpyBackend(), case, mode="serial")
         assert got == expected
 
     def test_parity_battery_green(self):
@@ -128,21 +135,84 @@ class TestBlockedBitIdentity:
         assert report.measured_class == "bit-identical"
 
     def test_auto_block_scales_with_row_size(self):
-        backend = BlockedNumpyBackend()
-        wide = create_instance(
-            *_case(n_tips=6, n_patterns=512), backend=backend
-        )
-        narrow = create_instance(
-            *_case(n_tips=6, n_patterns=8), backend=backend
-        )
-        assert backend.block_for(narrow) >= backend.block_for(wide)
-        assert 4 <= backend.block_for(wide) <= 64
+        wide = create_instance(*_case(n_tips=6, n_patterns=512))
+        narrow = create_instance(*_case(n_tips=6, n_patterns=8))
+        assert blocked.block_size(narrow) >= blocked.block_size(wide)
+        assert 4 <= blocked.block_size(wide) <= 64
+        assert blocked.tile_size(narrow) == 8  # never past the pattern count
+        assert blocked.tile_size(wide) >= 64
 
-    def test_invalid_block_config_rejected(self):
-        with pytest.raises(ValueError):
-            BlockedNumpyBackend(block_ops=0)
-        with pytest.raises(ValueError):
-            BlockedNumpyBackend(cache_budget_bytes=-1)
+    def test_sizes_follow_the_budget(self, monkeypatch):
+        instance = create_instance(*_case(n_tips=6, n_patterns=512))
+        monkeypatch.setattr(blocked, "CACHE_BUDGET_BYTES", 1)
+        assert (blocked.block_size(instance), blocked.tile_size(instance)) == (4, 64)
+        monkeypatch.setattr(blocked, "CACHE_BUDGET_BYTES", 1 << 40)
+        assert (blocked.block_size(instance), blocked.tile_size(instance)) == (64, 512)
+
+
+GAMMA = discrete_gamma(0.5, 4)
+
+
+def _protein_case(topology, reroot, n_tips=12, n_patterns=613, seed=7):
+    """20 states x 4 gamma categories: a pattern tile is 204 (f64) or 409
+    (f32) patterns, so every narrow set runs in several tiles. One tip
+    carries explicit partials and one has unknown characters, so every
+    child kind takes part."""
+    rng = np.random.default_rng(seed)
+    tree = build_tree(topology, n_tips, seed)
+    for edge in tree.edges():
+        edge.length = float(rng.exponential(0.2))
+    if reroot:
+        tree = optimal_reroot_fast(tree).tree
+    patterns = random_patterns(
+        tree.tip_names(), n_patterns, alphabet=AMINO_ACID, rng=rng
+    )
+    patterns.codes[1, ::5] = AMINO_ACID.n_states
+    patterns.partials[patterns.taxa[0]] = rng.uniform(size=(n_patterns, 20))
+    return tree, synthetic_empirical(seed), patterns
+
+
+def _engine_bytes(backend, case, dtype, mode, scaled):
+    """logL and the bytes of every partials, scale-bank and upper buffer.
+
+    Scaled cases run the rescaled post-order plan; unscaled ones the
+    gradient sweep, whose pre-order pass fills the upper bank.
+    """
+    tree, model, patterns = case
+    instance = create_instance(
+        tree, model, patterns, rates=GAMMA, dtype=dtype, backend=backend,
+        scaling=scaled,
+    )
+    assert blocked.tile_size(instance) < patterns.n_patterns
+    if scaled:
+        ll = execute_plan(instance, make_plan(tree, mode, scaling=True))
+        upper = b""
+    else:
+        ll = execute_gradient_plan(instance, make_gradient_plan(tree, mode))
+        upper = instance._upper[instance._upper_valid].tobytes()
+    partials = instance._partials[instance._partials_valid].tobytes()
+    scales = [instance.scale.read(i).tobytes() for i in range(instance.scale.count)]
+    return ll, partials, scales, upper
+
+
+class TestBlockedMatchesReferenceByteForByte:
+    """Every buffer the merged backend writes equals the reference's."""
+
+    @pytest.mark.parametrize("mode", ["concurrent", "serial"])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("reroot", [False, True], ids=["given", "rerooted"])
+    @pytest.mark.parametrize("topology", ["pectinate", "random", "balanced"])
+    def test_logl_partials_scale_and_upper_banks(
+        self, topology, reroot, dtype, scaled, mode
+    ):
+        case = _protein_case(topology, reroot)
+        expected = _engine_bytes(ReferenceBackend(), case, dtype, mode, scaled)
+        got = _engine_bytes(BlockedNumpyBackend(), case, dtype, mode, scaled)
+        assert got[0] == expected[0]
+        assert got[1] == expected[1], "partials differ"
+        assert got[2] == expected[2], "scale bank differs"
+        assert got[3] == expected[3], "upper bank differs"
 
 
 class TestSharedArena:
@@ -157,22 +227,6 @@ class TestSharedArena:
         plan = make_plan(tree, "concurrent")
         assert execute_plan(ref, plan) == expected
         assert execute_plan(blk, plan) == expected
-
-
-class TestNumbaGating:
-    def test_construction_requires_numba(self):
-        if NUMBA_AVAILABLE:  # pragma: no cover - depends on environment
-            backend = NumbaBackend()
-            assert backend.info.parity == "tolerance"
-        else:
-            with pytest.raises(ImportError, match="numba"):
-                NumbaBackend()
-
-    def test_registry_omits_numba_when_absent(self):
-        from repro.beagle import available_resources
-
-        if not NUMBA_AVAILABLE:
-            assert "numba" not in available_resources()
 
 
 class TestBackendInfoMetric:

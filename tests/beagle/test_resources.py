@@ -12,7 +12,6 @@ from repro.beagle import (
     BlockedNumpyBackend,
     KernelBackend,
     ReferenceBackend,
-    ResourceRequirements,
     UnknownResourceError,
     acquire,
     available_resources,
@@ -65,18 +64,6 @@ class TestAcquire:
         with pytest.raises(LookupError):
             acquire("nope")
 
-    def test_by_requirements_first_match_wins(self):
-        backend = acquire(ResourceRequirements(kind="cpu"))
-        assert backend.info.name == "reference"
-
-    def test_by_requirements_name_filter(self):
-        backend = acquire(ResourceRequirements(name="blocked"))
-        assert isinstance(backend, BlockedNumpyBackend)
-
-    def test_unsatisfiable_requirements_raise(self):
-        with pytest.raises(UnknownResourceError):
-            acquire(ResourceRequirements(kind="tpu"))
-
 
 class TestResolveBackend:
     def test_none_resolves_default(self, monkeypatch):
@@ -100,7 +87,7 @@ class TestResolveBackend:
         assert resolve_backend("reference").info.name == "reference"
 
     def test_backend_object_passes_through(self):
-        backend = BlockedNumpyBackend(block_ops=3)
+        backend = BlockedNumpyBackend()
         assert resolve_backend(backend) is backend
 
     def test_protocol_is_runtime_checkable(self):

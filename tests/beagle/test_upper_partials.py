@@ -122,7 +122,7 @@ class TestUpperEqualsRerootedFarSide:
 
 
 class TestBackendBitIdentity:
-    @pytest.mark.parametrize("backend", ["blocked", "pattern-blocked"])
+    @pytest.mark.parametrize("backend", ["blocked"])
     def test_upper_bank_matches_reference(self, backend):
         tree = yule_tree(9, np.random.default_rng(6))
         patterns = make_patterns(tree)
@@ -145,11 +145,11 @@ class TestBackendBitIdentity:
         assert instance.scale.count == 0
 
 
-class TestPatternBlockedResource:
+class TestBlockedResource:
     def test_registered_and_bit_identical(self):
         names = [d.name for d in list_resources()]
-        assert "pattern-blocked" in names
-        backend = resolve_backend("pattern-blocked")
+        assert names == ["reference", "blocked"]
+        backend = resolve_backend("blocked")
         assert backend.info.parity == "bit-identical"
         assert backend.info.tolerance == 0.0
         assert backend.info.kind == "cpu"

@@ -231,10 +231,10 @@ class TestGradientFlag:
         )
         assert "session instances: 1" in text
 
-    def test_gradient_with_pattern_blocked_backend(self):
+    def test_gradient_with_blocked_backend(self):
         code, text = run_cli(
             "--taxa", "8", "--sites", "32", "--reps", "1",
-            "--gradient", "--rsrc", "pattern-blocked",
+            "--gradient", "--rsrc", "blocked",
         )
         assert code == 0, text
         assert "(exact" in text

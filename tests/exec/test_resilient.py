@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.beagle.backends.blocked import block_size
 from repro.beagle.reference import pruning_log_likelihood
 from repro.core.planner import create_instance, execute_plan, make_plan
 from repro.data import random_patterns
@@ -101,6 +102,50 @@ class TestRetryRecovery:
         )
         engine.execute(plan)
         assert sleeps == pytest.approx([0.01, 0.02])
+
+
+class TestVerifierArena:
+    """Verification gathers destinations through the arena the backend
+    sized; it never grows it past a blocked backend's block."""
+
+    @staticmethod
+    def _wide(backend, n_tips=64, n_patterns=1024):
+        tree = balanced_tree(n_tips)
+        patterns = random_patterns(
+            tree.tip_names(), n_patterns, rng=np.random.default_rng(3)
+        )
+        instance = create_instance(tree, JC69(), patterns, backend=backend)
+        return instance, make_plan(tree, "concurrent")
+
+    def _capacity(self, backend, resilient):
+        instance, plan = self._wide(backend)
+        if resilient:
+            ll = ResilientInstance(instance).execute(plan)
+        else:
+            ll = execute_plan(instance, plan)
+        return ll, instance.workspace.capacity
+
+    def test_blocked_arena_stays_at_the_block_size(self):
+        ll, capacity = self._capacity("blocked", resilient=True)
+        instance, plan = self._wide("blocked")
+        assert max(plan.set_sizes) == 32
+        assert capacity == block_size(instance) == 4
+        assert (ll, capacity) == self._capacity("blocked", resilient=False)
+
+    def test_reference_arena_unchanged(self):
+        assert self._capacity("reference", resilient=True) == self._capacity(
+            "reference", resilient=False
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_poison_caught_in_every_chunk(self, seed):
+        instance, plan = self._wide("blocked", n_tips=16)
+        clean = execute_plan(self._wide("reference", n_tips=16)[0], plan)
+        spec = FaultSpec(rate=1.0, seed=seed, classes=("nan",), max_faults=3)
+        engine = ResilientInstance(FaultInjector(instance, spec))
+        assert engine.execute(plan) == clean
+        assert engine.fault_stats.detected_by_class == {"nan": 3}
+        assert instance.workspace.capacity == 4
 
 
 class TestDegradation:

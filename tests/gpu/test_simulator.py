@@ -139,32 +139,6 @@ class TestPaperShapes:
         assert many < few
 
 
-class TestIncrementalTiming:
-    def _plans(self):
-        from repro.core import incremental_plan
-
-        tree = balanced_tree(32)
-        full = make_plan(tree, "concurrent")
-        dirty = incremental_plan(tree, [tree.tips()[0]])
-        return full, dirty
-
-    def test_time_plan_incremental_rejects_full_plans(self):
-        full, _ = self._plans()
-        with pytest.raises(ValueError, match="full traversal"):
-            SimulatedDevice().time_plan_incremental(full, DIMS)
-
-    def test_incremental_speedup_shape(self):
-        full, dirty = self._plans()
-        timing = SimulatedDevice().incremental_speedup(full, dirty, DIMS)
-        assert timing.full.n_operations == 31
-        assert timing.incremental.n_operations < timing.full.n_operations
-        assert timing.operations_saved == (
-            timing.full.n_operations - timing.incremental.n_operations
-        )
-        assert timing.speedup > 1.0
-        assert timing.incremental.seconds > 0.0
-
-
 class TestShardModel:
     def test_time_sharded_widths_match_plan_shards(self):
         from repro.exec.sharding import plan_shards

@@ -139,7 +139,7 @@ class TestAllBranchDerivatives:
                 y.second,
             )
 
-    @pytest.mark.parametrize("backend", ["blocked", "pattern-blocked"])
+    @pytest.mark.parametrize("backend", ["blocked"])
     def test_bit_identical_backends_match_reference(self, backend):
         tree = yule_tree(9, np.random.default_rng(5))
         patterns = make_patterns(tree)

@@ -15,12 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.beagle import (
-    PARITY_BIT_IDENTICAL,
-    BlockedNumpyBackend,
-    acquire,
-    available_resources,
-)
+from repro.beagle import PARITY_BIT_IDENTICAL, acquire, available_resources
 from repro.core import (
     create_instance,
     execute_plan,
@@ -32,6 +27,7 @@ from repro.exec.sharding import ShardedLikelihood
 from repro.inference import TreeLikelihood
 from repro.inference.proposals import branch_length_move
 from repro.models import HKY85
+from tests.partitioned import FixedBlockBackend
 from tests.strategies import tree_strategy
 
 MODEL = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
@@ -82,7 +78,9 @@ class TestAllRegisteredBackends:
 
 
 class TestBlockedBeyondFullTraversals:
-    """The blocked backend on the engine's stateful paths."""
+    """The blocked backend on the engine's stateful paths, next to the
+    set executor over fixed partitions of every size: the property the
+    blocked backend's dimension-chosen blocks rely on."""
 
     @given(
         tree_strategy(min_tips=4, max_tips=12),
@@ -93,7 +91,7 @@ class TestBlockedBeyondFullTraversals:
     def test_incremental_path_bit_identical(self, tree, seed, block):
         patterns = _patterns(tree, seed)
         values = []
-        for backend in ("reference", BlockedNumpyBackend(block_ops=block)):
+        for backend in ("reference", "blocked", FixedBlockBackend(block)):
             lik = TreeLikelihood(
                 tree.copy(), MODEL, patterns, backend=backend
             )
@@ -102,7 +100,7 @@ class TestBlockedBeyondFullTraversals:
             proposed = lik.propose(move)
             lik.accept()
             values.append((proposed, lik.log_likelihood()))
-        assert values[0] == values[1]
+        assert values[0] == values[1] == values[2]
 
     @given(
         tree_strategy(min_tips=4, max_tips=12),
@@ -133,10 +131,6 @@ class TestBlockedBeyondFullTraversals:
             tree, patterns, "reference", np.float64, "concurrent"
         )
         got = _plan_ll(
-            tree,
-            patterns,
-            BlockedNumpyBackend(block_ops=block),
-            np.float64,
-            "concurrent",
+            tree, patterns, FixedBlockBackend(block), np.float64, "concurrent"
         )
         assert got == expected
