@@ -155,10 +155,10 @@ class KernelBackend(Protocol):
     def update_partials_single(
         self, instance: "BeagleInstance", operation: "Operation"
     ) -> None:
-        """Compute one operation's destination partials (serial path).
+        """Execute one operation as its own launch (serial path).
 
-        Writes the destination buffer only; the engine finishes the
-        operation (validity flag, rescaling via :meth:`rescale`).
+        Same duties as :meth:`update_partials_batch` for a one-operation
+        set — destination, rescaling, validity flag — and the same bits.
         """
         ...
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ...models.eigen import transition_matrices
 from ..backend import BackendInfo
-from ..kernels import rescale_partials, root_site_likelihoods, update_partials
+from ..kernels import rescale_partials, root_site_likelihoods
 from ..workspace import Workspace
 from .setexec import execute_operation_block, execute_upper_block
 
@@ -71,20 +71,11 @@ class ReferenceBackend:
     def update_partials_single(
         self, instance: "BeagleInstance", operation: "Operation"
     ) -> None:
-        """One operation through the serial kernel (no arena)."""
-        op = operation
-        partials1, codes1 = instance._child_arrays(op.child1)
-        partials2, codes2 = instance._child_arrays(op.child2)
-        slot = instance._internal_slot(op.destination)
-        update_partials(
-            instance._matrices[op.child1_matrix],
-            instance._matrices[op.child2_matrix],
-            partials1,
-            codes1,
-            partials2,
-            codes2,
-            out=instance._partials[slot],
-        )
+        """One operation as a one-row arena block: the set path's exact
+        arithmetic, so serial and batched launches agree to the bit."""
+        ws = instance.workspace
+        ws.ensure(1)
+        execute_operation_block(instance, ws, [operation], 0, 1)
 
     def update_upper_partials(
         self, instance: "BeagleInstance", operations: List["Operation"]

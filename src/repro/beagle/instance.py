@@ -645,20 +645,11 @@ class BeagleInstance:
         self.stats.operations += k
         self.stats.flops += k * self.flops_per_operation
 
-    def _execute_single(self, op: Operation, count_launch: bool = True) -> None:
+    def _execute_single(self, op: Operation) -> None:
         self.backend.update_partials_single(self, op)
-        self._finish_operation(op)
-        if count_launch:
-            self.stats.kernel_launches += 1
+        self.stats.kernel_launches += 1
         self.stats.operations += 1
         self.stats.flops += self.flops_per_operation
-
-    def _finish_operation(self, op: Operation) -> None:
-        slot = self._internal_slot(op.destination)
-        self._partials_valid[slot] = True
-        if op.destination_scale >= 0:
-            logs = self.backend.rescale(self._partials[slot], self.workspace)
-            self.scale.write(op.destination_scale, logs)
 
     # ------------------------------------------------------------------
     # Likelihood reductions

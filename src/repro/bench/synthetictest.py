@@ -55,7 +55,7 @@ from ..exec import (
 )
 from ..gpu import GP100, SimulatedDevice, WorkloadDims
 from ..models import random_gtr
-from ..obs import Recorder, record_pool_stats, set_recorder
+from ..obs import Recorder, get_recorder, record_ledger, set_recorder
 from ..trees import tree_height
 from .harness import build_tree
 
@@ -1008,12 +1008,10 @@ def _run_pool_cpu(
     outcomes = pool.drain()
     elapsed = time.perf_counter() - start
     stats = pool.stats()
-    from ..obs import get_recorder
-
     if get_recorder().enabled:
         # Ledger identities become gauges (repro_pool_*), including the
         # imbalance count itself — see PoolStats.explain().
-        record_pool_stats(stats)
+        record_ledger(stats)
 
     per_eval = elapsed / args.reps
     print(
@@ -1085,7 +1083,6 @@ def _run_serve_cpu(
     * every offered request is accounted: terminal outcomes plus typed
       rejections equal offers — no silent drops.
     """
-    from ..obs import record_serve_stats
     from ..serve import (
         AdmissionConfig,
         CoalescePolicy,
@@ -1160,11 +1157,9 @@ def _run_serve_cpu(
     )
     elapsed = time.perf_counter() - start
     ledger = server.ledger
-    from ..obs import get_recorder
-
     if get_recorder().enabled:
-        record_serve_stats(ledger)
-        record_pool_stats(pool.stats())
+        record_ledger(ledger)
+        record_ledger(pool.stats())
 
     trace_kind = "burst-storm" if args.serve_storm else "steady"
     print(
@@ -1258,7 +1253,7 @@ def _run_sharded_cpu(
       ``--shard-resume``), ``recomputed_completed`` stays zero — no
       finished shard is ever re-executed.
     """
-    from ..exec.faults import ShardFaultSpec
+    from ..exec.faults import FaultSpec
     from ..exec.sharding import ShardAborted, ShardedLikelihood
 
     fault_rate = (
@@ -1267,7 +1262,7 @@ def _run_sharded_cpu(
         else args.fault_rate
     )
     spec = (
-        ShardFaultSpec(rate=fault_rate, seed=args.fault_seed)
+        FaultSpec(rate=fault_rate, seed=args.fault_seed)
         if fault_rate > 0.0
         else None
     )
@@ -1330,6 +1325,8 @@ def _run_sharded_cpu(
         return 1
     elapsed = time.perf_counter() - start
     ledger = engine.ledger
+    if get_recorder().enabled:
+        record_ledger(ledger)
 
     print(
         f"resource: CPU sharded ({engine.n_shards} shards over "

@@ -9,11 +9,16 @@ adds the dynamic-robustness layer around the likelihood engine:
   :class:`AllocationError` / :class:`NumericalError` /
   :class:`DeadlineExceeded` / :class:`PoolSaturatedError` /
   :class:`NoHealthyWorkersError` / :class:`DataRaceError`).
-* :mod:`repro.exec.faults` — deterministic, seed-driven
-  :class:`FaultInjector` over the engine's launch surface, with five
-  fault classes (kernel-launch failure, transient device error,
-  allocation failure, NaN poisoning, silent underflow), plus the
-  silently-corrupting :class:`BiasInjector`.
+* :mod:`repro.exec.faults` — one seeded :class:`FaultSpec` /
+  :class:`FaultSchedule` fault stream, drawn per kernel launch (five
+  classes: kernel-launch failure, transient device error, allocation
+  failure, NaN poisoning, silent underflow) or per ``(shard, attempt)``
+  (three shard classes); the :class:`FaultInjector` over the engine's
+  launch surface, plus the silently-corrupting :class:`BiasInjector`.
+* :mod:`repro.exec.ledger` — the closed-identity :class:`Ledger` base
+  every accounting surface (fault, pool, shard and serve ledgers)
+  subclasses: identities declared once as data, then checked,
+  explained, merged and exported by one implementation.
 * :mod:`repro.exec.resilient` — :class:`ResilientInstance`, the
   retry/degrade/rescale facade, with :class:`RetryPolicy` and
   :class:`FaultStats`.
@@ -50,10 +55,9 @@ from .faults import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    ShardFaultSchedule,
-    ShardFaultSpec,
 )
 from .health import CircuitBreaker, Deadline, DeadlineGuard, Sentinel
+from .ledger import Identity, Ledger
 from .pool import JobContext, JobOutcome, LikelihoodPool, PoolStats
 from .resilient import FaultStats, ResilientInstance, RetryPolicy
 from .sharding import (
@@ -85,6 +89,8 @@ __all__ = [
     "FaultInjector",
     "BiasInjector",
     "RetryPolicy",
+    "Identity",
+    "Ledger",
     "FaultStats",
     "ResilientInstance",
     "Deadline",
@@ -101,8 +107,6 @@ __all__ = [
     "MCMCCheckpoint",
     "ShardCheckpoint",
     "SHARD_FAULT_CLASSES",
-    "ShardFaultSpec",
-    "ShardFaultSchedule",
     "MIN_SHARD_WIDTH",
     "Shard",
     "ShardLedger",

@@ -34,12 +34,17 @@ Fault classes
 to each launch attempt; :class:`FaultSchedule` alone is shared with the
 device model (:meth:`repro.gpu.simulator.SimulatedDevice.time_plan_resilient`)
 so modelled timings see the same fault sequence the engine would.
+The sharded engine draws from the same spec and schedule, keyed on
+``(shard, attempt)`` (:meth:`FaultSchedule.draw_keyed`, three
+:data:`SHARD_FAULT_CLASSES`). The schedule holds the only injected-fault
+counters; ledgers read them through :class:`InjectedCounts`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+import threading
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +61,7 @@ __all__ = [
     "FaultSchedule",
     "FaultInjector",
     "BiasInjector",
-    "ShardFaultSpec",
-    "ShardFaultSchedule",
+    "InjectedCounts",
 ]
 
 #: Every fault class the injector knows, in draw order.
@@ -70,8 +74,8 @@ FAULT_CLASSES: Tuple[str, ...] = (
 )
 
 #: Shard-scoped fault classes, drawn per (shard, attempt) rather than per
-#: kernel launch. Kept separate from :data:`FAULT_CLASSES` so existing
-#: seeded launch-level streams stay bit-identical.
+#: kernel launch (:meth:`FaultSchedule.draw_keyed`). Kept apart from
+#: :data:`FAULT_CLASSES` so seeded launch-level streams stay bit-identical.
 #:
 #: ``shard_lost``
 #:     The shard's worker dies mid-evaluation — the job surfaces a
@@ -108,12 +112,16 @@ class FaultSpec:
     Parameters
     ----------
     rate:
-        Per-launch-attempt fault probability in ``[0, 1]``.
+        Per-draw fault probability in ``[0, 1]``.
     seed:
         Seed of the injection RNG stream (independent of every other RNG
         in the system).
     classes:
-        Fault classes to draw from, uniformly. Defaults to all five.
+        Fault classes to draw from, uniformly: all launch classes
+        (:data:`FAULT_CLASSES`) or all shard classes
+        (:data:`SHARD_FAULT_CLASSES`). ``None`` takes the consumer's
+        default — all five launch classes for a launch stream, all three
+        shard classes for a shard stream.
     batched_only:
         Restrict injection to batched (multi-operation) launches — the
         configuration that exercises graceful degradation: per-operation
@@ -126,33 +134,56 @@ class FaultSpec:
 
     rate: float = 0.0
     seed: int = 0
-    classes: Tuple[str, ...] = FAULT_CLASSES
+    classes: Optional[Tuple[str, ...]] = None
     batched_only: bool = False
     max_faults: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("fault rate must be within [0, 1]")
-        unknown = set(self.classes) - set(FAULT_CLASSES)
-        if unknown:
-            raise ValueError(f"unknown fault classes: {sorted(unknown)}")
-        if not self.classes and self.rate > 0.0:
-            raise ValueError("a positive fault rate needs at least one class")
+        if self.classes is not None:
+            chosen = set(self.classes)
+            unknown = chosen - set(FAULT_CLASSES) - set(SHARD_FAULT_CLASSES)
+            if unknown:
+                raise ValueError(f"unknown fault classes: {sorted(unknown)}")
+            if chosen & set(FAULT_CLASSES) and chosen & set(SHARD_FAULT_CLASSES):
+                raise ValueError("fault classes mix launch and shard scopes")
+            if not self.classes and self.rate > 0.0:
+                raise ValueError("a positive fault rate needs at least one class")
         if self.max_faults is not None and self.max_faults < 0:
             raise ValueError("max_faults must be non-negative")
 
+    def classes_for(self, scope: Tuple[str, ...]) -> Tuple[str, ...]:
+        """The classes this spec draws from in ``scope`` (one of the two
+        class tuples); raises when the spec names the other scope's."""
+        if self.classes is None:
+            return scope
+        if not set(self.classes) <= set(scope):
+            raise ValueError(
+                f"fault classes {list(self.classes)} cannot be drawn here; "
+                f"expected a subset of {list(scope)}"
+            )
+        return self.classes
+
 
 class FaultSchedule:
-    """The seeded draw stream: one decision per launch attempt.
+    """The seeded draw streams of one :class:`FaultSpec`.
 
-    Deterministic given ``spec``: attempt ``i`` of any run with the same
-    spec receives the same decision, regardless of what the engine does
-    with it.
+    :meth:`draw` is the sequential per-launch stream: attempt ``i`` of
+    any run with the same spec receives the same decision, regardless of
+    what the engine does with it. :meth:`draw_keyed` is the shard
+    stream: each ``(shard_index, attempt)`` pair gets its own derived
+    seed, so the decision for a shard never depends on how many other
+    shards ran before it — retries, speculation and completion order
+    cannot shift which shards fault, and a resumed run reproduces the
+    exact fault history. Both draws spend the one ``max_faults`` budget
+    and count into the one ``injected``/``by_class`` tally.
     """
 
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
         self._rng = np.random.default_rng(spec.seed)
+        self._lock = threading.Lock()
         self.attempts = 0
         self.injected = 0
         self.by_class: Dict[str, int] = {}
@@ -160,102 +191,69 @@ class FaultSchedule:
     def draw(self, *, batched: bool = True) -> Optional[str]:
         """Fault class for the next launch attempt, or ``None``."""
         self.attempts += 1
-        if self.spec.rate <= 0.0:
+        if self._spent():
             return None
-        if (
-            self.spec.max_faults is not None
-            and self.injected >= self.spec.max_faults
-        ):
-            return None
+        classes = self.spec.classes_for(FAULT_CLASSES)
         # Draw both values unconditionally so the stream consumed per
         # attempt has constant length: decisions for attempt i never
         # depend on whether attempt i-1 targeted a batched launch.
         hit = self._rng.random() < self.spec.rate
-        which = int(self._rng.integers(len(self.spec.classes)))
+        which = int(self._rng.integers(len(classes)))
         if not hit or (self.spec.batched_only and not batched):
             return None
-        fault = self.spec.classes[which]
+        return self._count(classes[which])
+
+    def draw_keyed(self, shard_index: int, attempt: int) -> Optional[str]:
+        """Fault class for this shard attempt, or ``None`` — a pure
+        function of the spec and its arguments (modulo the budget).
+
+        Shard jobs on a threaded pool share one schedule, so the budget
+        check and the count happen under a lock.
+        """
+        with self._lock:
+            if self._spent():
+                return None
+            classes = self.spec.classes_for(SHARD_FAULT_CLASSES)
+            rng = np.random.default_rng(
+                (self.spec.seed, 0x5AD5, shard_index, attempt)
+            )
+            hit = rng.random() < self.spec.rate
+            which = int(rng.integers(len(classes)))
+            return self._count(classes[which]) if hit else None
+
+    def _spent(self) -> bool:
+        budget = self.spec.max_faults
+        return self.spec.rate <= 0.0 or (budget is not None and self.injected >= budget)
+
+    def _count(self, fault: str) -> str:
         self.injected += 1
         self.by_class[fault] = self.by_class.get(fault, 0) + 1
         return fault
 
 
-@dataclass(frozen=True)
-class ShardFaultSpec:
-    """Configuration of a deterministic *shard-scoped* fault stream.
+class InjectedCounts:
+    """Injected-fault counts of a ledger, read from its linked schedules.
 
-    Unlike :class:`FaultSpec`, decisions are not drawn from a sequential
-    stream: each ``(shard_index, attempt)`` pair gets its own derived
-    seed, so the decision for a shard never depends on how many other
-    shards ran before it — retries, speculation, and completion order
-    cannot shift which shards fault.
+    The schedule is the only owner of those counts: a ledger declares a
+    ``schedules`` field (the fault streams it reports on) and reads the
+    totals at snapshot time instead of keeping copies in step.
     """
 
-    rate: float = 0.0
-    seed: int = 0
-    classes: Tuple[str, ...] = SHARD_FAULT_CLASSES
-    max_faults: Optional[int] = None
+    schedules: Tuple[FaultSchedule, ...]
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("fault rate must be within [0, 1]")
-        unknown = set(self.classes) - set(SHARD_FAULT_CLASSES)
-        if unknown:
-            raise ValueError(f"unknown shard fault classes: {sorted(unknown)}")
-        if not self.classes and self.rate > 0.0:
-            raise ValueError("a positive fault rate needs at least one class")
-        if self.max_faults is not None and self.max_faults < 0:
-            raise ValueError("max_faults must be non-negative")
+    @property
+    def injected(self) -> int:
+        """Faults the linked schedules injected."""
+        return sum(schedule.injected for schedule in self.schedules)
 
-
-class ShardFaultSchedule:
-    """Seeded per-(shard, attempt) fault decisions.
-
-    ``draw(shard_index, attempt)`` is a pure function of the spec and its
-    arguments (modulo the global ``max_faults`` budget): the same shard's
-    same attempt always receives the same decision, so a resumed or
-    replayed run reproduces the exact fault history.
-    """
-
-    def __init__(self, spec: ShardFaultSpec) -> None:
-        self.spec = spec
-        self.injected = 0
-        self.by_class: Dict[str, int] = {}
-
-    def draw(self, shard_index: int, attempt: int) -> Optional[str]:
-        """Fault class for this shard attempt, or ``None``."""
-        if self.spec.rate <= 0.0:
-            return None
-        if (
-            self.spec.max_faults is not None
-            and self.injected >= self.spec.max_faults
-        ):
-            return None
-        rng = np.random.default_rng(
-            (self.spec.seed, 0x5AD5, shard_index, attempt)
-        )
-        hit = rng.random() < self.spec.rate
-        which = int(rng.integers(len(self.spec.classes)))
-        if not hit:
-            return None
-        fault = self.spec.classes[which]
-        self.injected += 1
-        self.by_class[fault] = self.by_class.get(fault, 0) + 1
-        return fault
-
-
-@dataclass
-class InjectionLog:
-    """What the injector actually did, for accounting and debugging."""
-
-    injected: int = 0
-    by_class: Dict[str, int] = field(default_factory=dict)
-    poisoned_buffers: int = 0
-
-    def record(self, fault: str) -> None:
-        """Count one injected fault of class ``fault``."""
-        self.injected += 1
-        self.by_class[fault] = self.by_class.get(fault, 0) + 1
+    @property
+    def injected_by_class(self) -> Dict[str, int]:
+        """Injected faults per class, in class-name order."""
+        counts: Dict[str, int] = {}
+        for schedule in self.schedules:
+            for fault, n in schedule.by_class.items():
+                counts[fault] = counts.get(fault, 0) + n
+        return dict(sorted(counts.items()))
 
 
 class FaultInjector:
@@ -286,7 +284,8 @@ class FaultInjector:
     ) -> None:
         self._inner = inner
         self.schedule = schedule or FaultSchedule(spec or FaultSpec())
-        self.log = InjectionLog()
+        #: Destination buffers corrupted by ``nan``/``underflow`` faults.
+        self.poisoned_buffers = 0
         self._launch_counter = 0
 
     # -- delegation ----------------------------------------------------
@@ -316,8 +315,6 @@ class FaultInjector:
         index = self._launch_counter
         self._launch_counter += 1
         fault = self.schedule.draw(batched=batched)
-        if fault is not None:
-            self.log.record(fault)
         if fault in RAISED_BEFORE_EXECUTION:
             self._raise(fault, index, len(ops))
         if batched:
@@ -358,13 +355,13 @@ class FaultInjector:
             buffer[0, ...] = np.nan
         else:
             buffer *= underflow_poison_factor(buffer.dtype)
-        self.log.poisoned_buffers += 1
+        self.poisoned_buffers += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.schedule.spec
         return (
             f"<FaultInjector rate={s.rate} seed={s.seed} "
-            f"injected={self.log.injected} around {self._inner!r}>"
+            f"injected={self.schedule.injected} around {self._inner!r}>"
         )
 
 

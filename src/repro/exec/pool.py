@@ -38,7 +38,9 @@ Every job submitted is accounted for in exactly one of ``completed``,
 worker failure order, because recovery recomputes wholesale and rescue
 re-runs land on clean workers.
 
-Ledger identities (checked by :meth:`PoolStats.imbalances`)::
+Ledger identities (declared once on :class:`PoolStats`, a
+:class:`~repro.exec.ledger.Ledger`, which checks, explains and exports
+them)::
 
     offered  == completed + shed + surfaced
     failures == rerouted + surfaced_failures
@@ -76,7 +78,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 from ..obs import get_recorder
@@ -89,6 +90,7 @@ from .errors import (
 )
 from .faults import FaultSpec
 from .health import Deadline, Sentinel
+from .ledger import Identity, Ledger
 from .resilient import FaultStats, RetryPolicy
 from .supervisor import MakeCase, PoolWorker, Supervisor
 
@@ -137,11 +139,6 @@ class JobContext:
         """Build a fresh case via ``make_case`` and execute it."""
         return self.worker.execute(make_case, self.deadline)
 
-    def check_deadline(self) -> None:
-        """Cooperative deadline check for job-side work between launches."""
-        if self.deadline is not None:
-            self.deadline.check("job")
-
 
 @dataclass
 class Job:
@@ -184,7 +181,7 @@ class JobOutcome:
 
 
 @dataclass
-class PoolStats:
+class PoolStats(Ledger):
     """Aggregate pool ledger: job accounting plus merged worker faults.
 
     Attributes
@@ -213,6 +210,33 @@ class PoolStats:
         folded in.
     """
 
+    IDENTITIES = (
+        Identity(
+            "offered",
+            ("completed", "shed", "surfaced"),
+            "every submitted job reaches exactly one terminal outcome",
+        ),
+        Identity(
+            "failures",
+            ("rerouted", "surfaced_failures"),
+            "every worker failure is rerouted or surfaced, never lost",
+        ),
+        Identity(
+            "faults.errors",
+            ("failures", "probe_errors"),
+            "every worker-stack error is attributed to a job or a probe",
+        ),
+    )
+    SUMMARY = (
+        "pool: workers={workers} evicted={evicted} "
+        "offered={offered} completed={completed} "
+        "shed={shed} surfaced={surfaced} "
+        "rerouted={rerouted} rescued={rescued} "
+        "probes={probes} probe_failures={probe_failures} | {faults_line}"
+    )
+    METRIC_PREFIX = "pool"
+    GAUGES = {"evicted_workers": "evicted", "worker_errors": "faults.errors"}
+
     workers: int = 0
     offered: int = 0
     rejected: int = 0
@@ -226,78 +250,13 @@ class PoolStats:
     probes: int = 0
     probe_failures: int = 0
     probe_errors: int = 0
-    evicted: Tuple[int, ...] = ()
+    evicted: List[int] = field(default_factory=list)
     faults: FaultStats = field(default_factory=FaultStats)
 
-    def imbalances(self) -> List[str]:
-        """Violated ledger identities (empty means the ledger closes)."""
-        problems: List[str] = []
-        if self.offered != self.completed + self.shed + self.surfaced:
-            problems.append(
-                f"offered={self.offered} != completed={self.completed} "
-                f"+ shed={self.shed} + surfaced={self.surfaced}"
-            )
-        if self.failures != self.rerouted + self.surfaced_failures:
-            problems.append(
-                f"failures={self.failures} != rerouted={self.rerouted} "
-                f"+ surfaced_failures={self.surfaced_failures}"
-            )
-        if self.faults.errors != self.failures + self.probe_errors:
-            problems.append(
-                f"worker errors={self.faults.errors} != "
-                f"failures={self.failures} + probe_errors={self.probe_errors}"
-            )
-        return problems
-
-    def balances(self) -> bool:
-        """Does every ledger identity close?"""
-        return not self.imbalances()
-
-    def explain(self) -> str:
-        """Account for every ledger identity with its current numbers.
-
-        One line per identity, each marked ``ok`` or ``VIOLATED``, with
-        the invariant it protects spelled out. The observability export
-        (:func:`repro.obs.record_pool_stats`) asserts the same
-        identities as the ``repro_pool_ledger_imbalances`` gauge, so a
-        drifting ledger is visible both here and on a dashboard.
-        """
-        checks = [
-            (
-                "offered == completed + shed + surfaced",
-                self.offered,
-                self.completed + self.shed + self.surfaced,
-                "every submitted job reaches exactly one terminal outcome",
-            ),
-            (
-                "failures == rerouted + surfaced_failures",
-                self.failures,
-                self.rerouted + self.surfaced_failures,
-                "every worker failure is rerouted or surfaced, never lost",
-            ),
-            (
-                "worker errors == failures + probe_errors",
-                self.faults.errors,
-                self.failures + self.probe_errors,
-                "every worker-stack error is attributed to a job or a probe",
-            ),
-        ]
-        lines = []
-        for identity, lhs, rhs, meaning in checks:
-            mark = "ok" if lhs == rhs else "VIOLATED"
-            lines.append(f"[{mark}] {identity} ({lhs} vs {rhs}): {meaning}")
-        return "\n".join(lines)
-
-    def format(self) -> str:
-        """One-line summary for logs and ``synthetictest`` output."""
-        return (
-            f"pool: workers={self.workers} evicted={list(self.evicted)} "
-            f"offered={self.offered} completed={self.completed} "
-            f"shed={self.shed} surfaced={self.surfaced} "
-            f"rerouted={self.rerouted} rescued={self.rescued} "
-            f"probes={self.probes} probe_failures={self.probe_failures} | "
-            + self.faults.format()
-        )
+    @property
+    def faults_line(self) -> str:
+        """The merged worker faults' own summary line."""
+        return self.faults.format()
 
 
 class LikelihoodPool:
@@ -981,7 +940,6 @@ class LikelihoodPool:
         """Snapshot of the aggregate ledger (see :class:`PoolStats`)."""
         faults = FaultStats()
         for worker in self.workers:
-            worker.sync_injected()
             faults.merge(worker.stats)
         faults.rerouted = self._rerouted
         faults.shed = self._rejected + self._shed_expired
@@ -1001,7 +959,7 @@ class LikelihoodPool:
             probes=self.supervisor.probes,
             probe_failures=self.supervisor.probe_failures,
             probe_errors=self.supervisor.probe_errors,
-            evicted=tuple(self.supervisor.evicted()),
+            evicted=self.supervisor.evicted(),
             faults=faults,
         )
 

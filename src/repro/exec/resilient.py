@@ -50,7 +50,8 @@ from .errors import (
     NumericalError,
     TransientDeviceError,
 )
-from .faults import FaultInjector
+from .faults import FaultInjector, FaultSchedule, InjectedCounts
+from .ledger import Ledger
 
 __all__ = ["seeded_jitter", "RetryPolicy", "FaultStats", "ResilientInstance"]
 
@@ -160,14 +161,15 @@ class RetryPolicy:
 
 
 @dataclass
-class FaultStats:
+class FaultStats(InjectedCounts, Ledger):
     """Counters of the resilience pipeline, kept next to ``InstanceStats``.
 
     Attributes
     ----------
-    injected:
-        Faults a wrapped :class:`~repro.exec.faults.FaultInjector`
-        introduced (0 when running on real faults only).
+    injected / injected_by_class:
+        Faults the linked fault schedules introduced (0 when running on
+        real faults only) — read from ``schedules`` at snapshot time,
+        never copied.
     detected:
         Fault events the resilience layer observed — caught typed errors
         plus buffer corruption found by verification.
@@ -191,9 +193,16 @@ class FaultStats:
     surfaced:
         Pool level: jobs whose typed error reached the caller — no
         healthy worker left to reroute to, or a spent deadline.
+    schedules:
+        The fault streams whose injections this ledger reports.
     """
 
-    injected: int = 0
+    SUMMARY = (
+        "faults: injected={injected} detected={detected} "
+        "retried={retried} degraded={degraded} "
+        "rescued={rescued} errors={errors}{pool_suffix}"
+    )
+
     detected: int = 0
     retried: int = 0
     degraded: int = 0
@@ -202,8 +211,8 @@ class FaultStats:
     rerouted: int = 0
     shed: int = 0
     surfaced: int = 0
-    injected_by_class: Dict[str, int] = field(default_factory=dict)
     detected_by_class: Dict[str, int] = field(default_factory=dict)
+    schedules: Tuple[FaultSchedule, ...] = field(default=(), repr=False, compare=False)
 
     def note(self, exc: ExecutionError) -> None:
         """Record one detected fault under its class label."""
@@ -211,53 +220,12 @@ class FaultStats:
         label = _class_label(exc)
         self.detected_by_class[label] = self.detected_by_class.get(label, 0) + 1
 
-    def merge(self, other: "FaultStats") -> None:
-        """Fold another ledger into this one (pool aggregation)."""
-        self.injected += other.injected
-        self.detected += other.detected
-        self.retried += other.retried
-        self.degraded += other.degraded
-        self.rescued += other.rescued
-        self.errors += other.errors
-        self.rerouted += other.rerouted
-        self.shed += other.shed
-        self.surfaced += other.surfaced
-        for label, count in other.injected_by_class.items():
-            self.injected_by_class[label] = (
-                self.injected_by_class.get(label, 0) + count
-            )
-        for label, count in other.detected_by_class.items():
-            self.detected_by_class[label] = (
-                self.detected_by_class.get(label, 0) + count
-            )
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.injected = 0
-        self.detected = 0
-        self.retried = 0
-        self.degraded = 0
-        self.rescued = 0
-        self.errors = 0
-        self.rerouted = 0
-        self.shed = 0
-        self.surfaced = 0
-        self.injected_by_class = {}
-        self.detected_by_class = {}
-
-    def format(self) -> str:
-        """One-line summary for logs and the ``synthetictest`` output."""
-        line = (
-            f"faults: injected={self.injected} detected={self.detected} "
-            f"retried={self.retried} degraded={self.degraded} "
-            f"rescued={self.rescued} errors={self.errors}"
-        )
-        if self.rerouted or self.shed or self.surfaced:
-            line += (
-                f" rerouted={self.rerouted} shed={self.shed} "
-                f"surfaced={self.surfaced}"
-            )
-        return line
+    @property
+    def pool_suffix(self) -> str:
+        """The pool-level counters, shown only once any is nonzero."""
+        if not (self.rerouted or self.shed or self.surfaced):
+            return ""
+        return f" rerouted={self.rerouted} shed={self.shed} surfaced={self.surfaced}"
 
 
 def _class_label(exc: ExecutionError) -> str:
@@ -299,8 +267,11 @@ class ResilientInstance:
         Injection point for the backoff sleeper (tests pass a recorder).
     stats:
         Optional shared :class:`FaultStats` ledger. Pool workers pass
-        their per-worker ledger so counts accumulate across the many
-        short-lived facades a worker builds (one per job).
+        their per-worker ledger (linked to the worker's persistent fault
+        schedule) so counts accumulate across the many short-lived
+        facades a worker builds (one per job). Without one, a fresh
+        ledger is linked to ``inner``'s schedule when ``inner`` is a
+        :class:`~repro.exec.faults.FaultInjector`.
     backoff_key:
         Jitter key forwarded to :meth:`RetryPolicy.backoff_seconds`;
         pool workers pass their worker id so concurrent workers jitter
@@ -319,7 +290,11 @@ class ResilientInstance:
         self._inner = inner
         self.policy = policy or RetryPolicy()
         self._sleep = sleep or time.sleep
-        self._stats = stats if stats is not None else FaultStats()
+        if stats is None:
+            stats = FaultStats(
+                schedules=(inner.schedule,) if isinstance(inner, FaultInjector) else ()
+            )
+        self._stats = stats
         self._backoff_key = backoff_key
         self._in_execute = False
         # plan -> escalated (scaling) plan, keyed by identity; the plan
@@ -342,17 +317,8 @@ class ResilientInstance:
 
     @property
     def fault_stats(self) -> FaultStats:
-        """Resilience counters, with injector counts synchronised in."""
-        injector = self._injector()
-        if injector is not None:
-            self._stats.injected = injector.log.injected
-            self._stats.injected_by_class = dict(injector.log.by_class)
+        """Resilience counters (injected counts read from the schedule)."""
         return self._stats
-
-    def _injector(self) -> Optional[FaultInjector]:
-        if isinstance(self._inner, FaultInjector):
-            return self._inner
-        return None
 
     # -- launch surface ------------------------------------------------
     def update_partials_set(self, operations) -> None:

@@ -44,8 +44,8 @@ Robustness
   ``recomputed_completed`` ledger counter stays zero, and the gate in
   ``synthetictest`` enforces it).
 
-Shard-scoped chaos (:class:`~repro.exec.faults.ShardFaultSchedule`) is
-keyed on ``(shard, attempt)`` so injected faults are independent of
+Shard-scoped chaos (:meth:`~repro.exec.faults.FaultSchedule.draw_keyed`)
+is keyed on ``(shard, attempt)`` so injected faults are independent of
 scheduling history and a replay reproduces the exact fault sequence.
 """
 
@@ -54,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +65,8 @@ from ..trees import Tree
 from ..trees.newick import write_newick
 from .checkpoint import NEWICK_PRECISION, ShardCheckpoint
 from .errors import DeadlineExceeded, ExecutionError
-from .faults import ShardFaultSchedule, ShardFaultSpec
+from .faults import FaultSchedule, FaultSpec, InjectedCounts
+from .ledger import Identity, Ledger
 from .pool import JobContext, JobOutcome, LikelihoodPool
 
 __all__ = [
@@ -267,19 +268,53 @@ class ShardResult:
 
 
 @dataclass
-class ShardLedger:
+class ShardLedger(InjectedCounts, Ledger):
     """Shard-level accounting: every submission reaches one bucket.
 
-    Identities (checked by :meth:`imbalances`)::
+    Identities (declared once, checked by the
+    :class:`~repro.exec.ledger.Ledger` base)::
 
-        resumed + computed          == total_shards      (on success)
-        submissions                 == ok + failed + shed
-        ok                          == wins + wasted + faulted + invalidated
+        total_shards == resumed + computed          (on success)
+        submissions  == ok + failed + shed
+        ok           == wins + wasted + faulted + invalidated
 
     ``recomputed_completed`` counts shards re-executed despite a
     checkpoint already holding their result — it must stay zero, and the
-    ``shard-soak`` CI gate fails the run if it does not.
+    ``shard-soak`` CI gate fails the run if it does not. Injected faults
+    are read from the evaluation's fault schedule (``schedules``).
     """
+
+    IDENTITIES = (
+        Identity(
+            "total_shards",
+            ("resumed", "computed"),
+            "every shard is restored from a checkpoint or computed",
+        ),
+        Identity(
+            "submissions",
+            ("ok", "failed", "shed"),
+            "every shard job reaches exactly one pool outcome",
+        ),
+        Identity(
+            "ok",
+            ("wins", "wasted", "faulted", "invalidated"),
+            "every completed shard job is used, discarded or invalidated",
+        ),
+    )
+    SUMMARY = (
+        "shards: total={total_shards} resumed={resumed} "
+        "computed={computed} submissions={submissions} "
+        "ok={ok} failed={failed} shed={shed} "
+        "wins={wins} wasted={wasted} faulted={faulted} "
+        "invalidated={invalidated} retries={retries} "
+        "disagreements={disagreements} "
+        "stragglers={stragglers_cancelled} "
+        "escalations={escalations} "
+        "recomputed_completed={recomputed_completed} "
+        "injected={injected_by_class}"
+    )
+    METRIC_PREFIX = "shard"
+    GAUGES = {"injected": "injected"}
 
     total_shards: int = 0
     resumed: int = 0
@@ -296,51 +331,8 @@ class ShardLedger:
     disagreements: int = 0
     stragglers_cancelled: int = 0
     escalations: int = 0
-    injected: Dict[str, int] = field(default_factory=dict)
     recomputed_completed: int = 0
-
-    def record_injection(self, fault: str) -> None:
-        """Count one injected shard-scoped fault."""
-        self.injected[fault] = self.injected.get(fault, 0) + 1
-
-    def imbalances(self) -> List[str]:
-        """Violated ledger identities (empty means the ledger closes)."""
-        problems: List[str] = []
-        if self.resumed + self.computed != self.total_shards:
-            problems.append(
-                f"resumed={self.resumed} + computed={self.computed} "
-                f"!= total_shards={self.total_shards}"
-            )
-        if self.submissions != self.ok + self.failed + self.shed:
-            problems.append(
-                f"submissions={self.submissions} != ok={self.ok} "
-                f"+ failed={self.failed} + shed={self.shed}"
-            )
-        if self.ok != self.wins + self.wasted + self.faulted + self.invalidated:
-            problems.append(
-                f"ok={self.ok} != wins={self.wins} + wasted={self.wasted} "
-                f"+ faulted={self.faulted} + invalidated={self.invalidated}"
-            )
-        return problems
-
-    def balances(self) -> bool:
-        """Does every identity close?"""
-        return not self.imbalances()
-
-    def format(self) -> str:
-        """One-line summary for logs and ``synthetictest`` output."""
-        return (
-            f"shards: total={self.total_shards} resumed={self.resumed} "
-            f"computed={self.computed} submissions={self.submissions} "
-            f"ok={self.ok} failed={self.failed} shed={self.shed} "
-            f"wins={self.wins} wasted={self.wasted} faulted={self.faulted} "
-            f"invalidated={self.invalidated} retries={self.retries} "
-            f"disagreements={self.disagreements} "
-            f"stragglers={self.stragglers_cancelled} "
-            f"escalations={self.escalations} "
-            f"recomputed_completed={self.recomputed_completed} "
-            f"injected={dict(sorted(self.injected.items()))}"
-        )
+    schedules: Tuple[FaultSchedule, ...] = field(default=(), repr=False, compare=False)
 
 
 class ShardedLikelihood:
@@ -381,7 +373,8 @@ class ShardedLikelihood:
         completed *in this run* — deterministic crash simulation for
         resume tests.
     fault_spec:
-        Shard-scoped chaos stream (:class:`~repro.exec.faults.ShardFaultSpec`).
+        Shard-scoped chaos stream: a :class:`~repro.exec.faults.FaultSpec`
+        drawn per ``(shard, attempt)`` from the shard fault classes.
     order_seed:
         Permute each round's submission order (deterministically per
         seed); the result is bit-identical regardless — that is the
@@ -406,7 +399,7 @@ class ShardedLikelihood:
         checkpoint_path=None,
         resume: bool = False,
         abort_after: Optional[int] = None,
-        fault_spec: Optional[ShardFaultSpec] = None,
+        fault_spec: Optional[FaultSpec] = None,
         order_seed: Optional[int] = None,
         dtype=np.float64,
         backend=None,
@@ -557,9 +550,10 @@ class ShardedLikelihood:
 
     def _evaluate_body(self) -> np.ndarray:
         obs = get_recorder()
-        ledger = self.ledger = ShardLedger(total_shards=len(self.shards))
-        schedule = (
-            ShardFaultSchedule(self.fault_spec) if self.fault_spec else None
+        schedule = FaultSchedule(self.fault_spec) if self.fault_spec else None
+        ledger = self.ledger = ShardLedger(
+            total_shards=len(self.shards),
+            schedules=(schedule,) if schedule is not None else (),
         )
         completed: Dict[int, np.ndarray] = {}
         if self.resume and self.checkpoint_path is not None:
@@ -637,7 +631,7 @@ class ShardedLikelihood:
         order: List[int],
         attempts: Dict[int, int],
         provisional: Dict[int, np.ndarray],
-        schedule: Optional[ShardFaultSchedule],
+        schedule: Optional[FaultSchedule],
         ledger: ShardLedger,
     ) -> List[Tuple[int, bool, JobOutcome]]:
         """Submit one round (respecting pool admission control) and
@@ -668,7 +662,7 @@ class ShardedLikelihood:
                         self.straggler_growth ** min(attempt, 8)
                     )
                 job_index = self.pool.submit(
-                    self._job_fn(shard, attempt, scaled, schedule, ledger),
+                    self._job_fn(shard, attempt, scaled, schedule),
                     label=f"shard-{si}/{len(self.shards)}#{attempt}",
                     **kwargs,
                 )
@@ -684,8 +678,7 @@ class ShardedLikelihood:
         shard: Shard,
         attempt: int,
         scaled: bool,
-        schedule: Optional[ShardFaultSchedule],
-        ledger: ShardLedger,
+        schedule: Optional[FaultSchedule],
     ) -> Callable[[JobContext], ShardResult]:
         tree, model, rates, dtype, backend = (
             self.tree,
@@ -697,10 +690,8 @@ class ShardedLikelihood:
 
         def job(ctx: JobContext) -> ShardResult:
             fault = (
-                schedule.draw(shard.index, attempt) if schedule else None
+                schedule.draw_keyed(shard.index, attempt) if schedule else None
             )
-            if fault is not None:
-                ledger.record_injection(fault)
             if fault == "shard_lost":
                 # The worker "dies" before producing anything; the shard
                 # layer retries. Returned (not raised) so the pool's own

@@ -3,8 +3,9 @@
 A :class:`PoolWorker` is one logical likelihood engine slot: it owns a
 persistent seeded fault stream (so chaos runs replay), an optional
 silent-corruption wrapper, a per-worker :class:`~repro.exec.resilient.FaultStats`
-ledger, a :class:`~repro.exec.health.CircuitBreaker`, and the recipe for
-building the resilient engine stack around each job's instance::
+ledger linked to that stream, a :class:`~repro.exec.health.CircuitBreaker`,
+and the recipe for building the resilient engine stack around each job's
+instance::
 
     ResilientInstance( DeadlineGuard( FaultInjector( BiasInjector( engine ))))
          recovery          budget          chaos          corruption
@@ -98,7 +99,9 @@ class PoolWorker:
             cooldown_s=cooldown_s,
             clock=clock,
         )
-        self.stats = FaultStats()
+        self.stats = FaultStats(
+            schedules=(self.schedule,) if self.schedule is not None else ()
+        )
         self._sleep = sleep
         #: Job indices completed since this worker's last clean sentinel
         #: probe — the set a failed probe sends back for re-execution.
@@ -153,14 +156,6 @@ class PoolWorker:
                 # ledger honest at the worker level.
                 self.stats.errors += 1
             raise
-        finally:
-            self.sync_injected()
-
-    def sync_injected(self) -> None:
-        """Mirror the persistent fault stream's counts into the ledger."""
-        if self.schedule is not None:
-            self.stats.injected = self.schedule.injected
-            self.stats.injected_by_class = dict(self.schedule.by_class)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

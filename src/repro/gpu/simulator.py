@@ -331,13 +331,11 @@ class SimulatedDevice:
 
         schedule = FaultSchedule(faults) if isinstance(faults, FaultSpec) else faults
         policy = policy or RetryPolicy()
-        stats = FaultStats()
+        stats = FaultStats(schedules=(schedule,))
         launches: List[LaunchTiming] = []
         self._model_plan(
             plan, dims, schedule, policy, stats, launches, mechanism, n_streams
         )
-        stats.injected = schedule.injected
-        stats.injected_by_class = dict(schedule.by_class)
         return EvaluationTiming(launches=launches, dims=dims), stats
 
     def _model_plan(
@@ -434,7 +432,7 @@ class SimulatedDevice:
             FaultSchedule(spec) if spec is not None and spec.rate > 0.0 else None
             for spec in specs
         ]
-        stats = FaultStats()
+        stats = FaultStats(schedules=tuple(s for s in schedules if s is not None))
         available = [0.0] * n_workers
         busy = [0.0] * n_workers
         jobs_done = [0] * n_workers
@@ -497,13 +495,6 @@ class SimulatedDevice:
                 surfaced += 1
                 stats.surfaced += 1
 
-        for schedule in schedules:
-            if schedule is not None:
-                stats.injected += schedule.injected
-                for label, count in schedule.by_class.items():
-                    stats.injected_by_class[label] = (
-                        stats.injected_by_class.get(label, 0) + count
-                    )
         return PoolTiming(
             seconds=max(busy) if any(busy) else 0.0,
             n_jobs=n_jobs,

@@ -70,8 +70,7 @@ __all__ = [
     "set_recorder",
     "recording",
     "record_backend_info",
-    "record_pool_stats",
-    "record_serve_stats",
+    "record_ledger",
     "validate_metrics",
     "validate_trace",
 ]
@@ -380,89 +379,27 @@ def record_backend_info(info, registry: Optional[MetricsRegistry] = None) -> Non
     ).set(1)
 
 
-def record_pool_stats(stats, registry: Optional[MetricsRegistry] = None) -> None:
-    """Export a :class:`~repro.exec.pool.PoolStats` ledger as gauges.
+def record_ledger(ledger, registry: Optional[MetricsRegistry] = None) -> None:
+    """Export a closed-identity ledger (:class:`~repro.exec.ledger.Ledger`)
+    as gauges.
 
-    Every ledger field becomes a ``repro_pool_*`` gauge, and —
-    crucially — the number of violated ledger identities is exported as
-    ``repro_pool_ledger_imbalances``: an imbalance stops being a silent
-    internal invariant and becomes an alertable metric. The identities
-    themselves are documented by ``PoolStats.explain()``.
+    Every counter becomes a ``repro_<prefix>_*`` gauge (the prefix is the
+    ledger's ``METRIC_PREFIX``: ``pool``, ``serve`` or ``shard``),
+    breakdown mappings export as labeled gauges, and — crucially — the
+    number of violated identities is exported as
+    ``repro_<prefix>_ledger_imbalances``: an imbalance stops being a
+    silent internal invariant and becomes an alertable metric. The
+    identities themselves are spelled out by ``ledger.explain()``.
     """
     registry = registry if registry is not None else get_recorder().metrics
-    fields = {
-        "workers": stats.workers,
-        "offered": stats.offered,
-        "rejected": stats.rejected,
-        "completed": stats.completed,
-        "shed": stats.shed,
-        "surfaced": stats.surfaced,
-        "surfaced_failures": stats.surfaced_failures,
-        "failures": stats.failures,
-        "rerouted": stats.rerouted,
-        "rescued": stats.rescued,
-        "probes": stats.probes,
-        "probe_failures": stats.probe_failures,
-        "probe_errors": stats.probe_errors,
-        "evicted_workers": len(stats.evicted),
-        "worker_errors": stats.faults.errors,
-    }
-    for field, value in fields.items():
-        registry.gauge(
-            f"repro_pool_{field}",
-            f"PoolStats.{field} at the last export",
-        ).set(value)
+    kind = type(ledger).__name__
+    prefix = f"repro_{ledger.METRIC_PREFIX}_"
+    for name, labels, value in ledger.gauges():
+        help_text = f"{kind}.{name} at the last export"
+        if labels:
+            help_text += ", by " + ", ".join(labels)
+        registry.gauge(prefix + name, help_text, labels=labels).set(value)
     registry.gauge(
-        "repro_pool_ledger_imbalances",
-        "Violated PoolStats ledger identities (0 = ledger closes)",
-    ).set(len(stats.imbalances()))
-
-
-def record_serve_stats(ledger, registry: Optional[MetricsRegistry] = None) -> None:
-    """Export a :class:`~repro.serve.ledger.ServeLedger` as gauges.
-
-    Mirrors :func:`record_pool_stats`: every aggregate bucket becomes a
-    ``repro_serve_*`` gauge, rejection reasons and shed causes export as
-    labeled gauges, and the violated-identity count lands in
-    ``repro_serve_ledger_imbalances`` so a drifting request ledger is an
-    alertable signal, not a silent invariant.
-    """
-    registry = registry if registry is not None else get_recorder().metrics
-    fields = {
-        "offered": ledger.offered,
-        "rejected": ledger.rejected,
-        "admitted": ledger.admitted,
-        "served": ledger.served,
-        "shed": ledger.shed,
-        "failed": ledger.failed,
-        "queued": ledger.queued,
-        "in_flight": ledger.in_flight,
-        "retried": ledger.retried,
-        "late": ledger.late,
-        "coalesced_launches": ledger.coalesced_launches,
-        "coalesced_requests": ledger.coalesced_requests,
-        "verified": ledger.verified,
-        "verify_failures": ledger.verify_failures,
-        "tenants": len(ledger.tenants),
-    }
-    for field, value in fields.items():
-        registry.gauge(
-            f"repro_serve_{field}",
-            f"ServeLedger.{field} at the last export",
-        ).set(value)
-    for reason, count in sorted(ledger.rejected_by_reason.items()):
-        registry.gauge(
-            "repro_serve_rejected_by_reason",
-            "Server rejections, by typed admission reason",
-            labels={"reason": reason},
-        ).set(count)
-    for cause, count in sorted(ledger.shed_by_cause.items()):
-        registry.gauge(
-            "repro_serve_shed_by_cause",
-            "Server sheds, by typed cause",
-            labels={"cause": cause},
-        ).set(count)
-    registry.gauge(
-        "repro_serve_ledger_imbalances",
-        "Violated ServeLedger identities (0 = ledger closes)",
+        prefix + "ledger_imbalances",
+        f"Violated {kind} identities (0 = ledger closes)",
     ).set(len(ledger.imbalances()))

@@ -5,10 +5,11 @@ lands in exactly one terminal bucket — ``served``, ``shed``, ``failed``
 — or is still ``queued``/``in_flight``; submissions refused by admission
 control are ``rejected`` before they are ever queued. The
 :class:`ServeLedger` keeps those counts globally *and* per tenant, and
-its :meth:`ServeLedger.imbalances` checks the identities that make
-"no silent drops" a checkable property instead of a hope (the same
-discipline as :class:`~repro.exec.pool.PoolStats` and the shard ledger
-of PR 7)::
+declares the identities that make "no silent drops" a checkable property
+instead of a hope. Both it and its :class:`TenantLedger` rows are
+:class:`~repro.exec.ledger.Ledger` subclasses — the same type as
+:class:`~repro.exec.pool.PoolStats` and the shard ledger — so the
+identities are checked, explained and exported by one implementation::
 
     offered  == admitted + rejected
     admitted == served + shed + failed + queued + in_flight
@@ -26,7 +27,9 @@ late or verified request is still served).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
+
+from ..exec.ledger import Identity, Ledger
 
 __all__ = ["TenantLedger", "ServeLedger"]
 
@@ -46,9 +49,31 @@ REJECT_INFEASIBLE = "infeasible-deadline"
 REJECT_BROWNOUT = "brownout-clamp"
 
 
+#: Buckets kept both globally and per tenant.
+_TENANT_BUCKETS = (
+    "offered", "rejected", "admitted", "served", "shed",
+    "failed", "queued", "in_flight", "retried", "late",
+)
+
+_ROW_IDENTITIES = (
+    Identity(
+        "offered",
+        ("admitted", "rejected"),
+        "every submission is admitted or refused with a reason",
+    ),
+    Identity(
+        "admitted",
+        ("served", "shed", "failed", "queued", "in_flight"),
+        "every admitted request is somewhere, exactly once",
+    ),
+)
+
+
 @dataclass
-class TenantLedger:
+class TenantLedger(Ledger):
     """One tenant's slice of the server's accounting."""
+
+    IDENTITIES = _ROW_IDENTITIES
 
     tenant: str
     offered: int = 0
@@ -62,30 +87,9 @@ class TenantLedger:
     retried: int = 0
     late: int = 0
 
-    def imbalances(self) -> List[str]:
-        """Violated per-tenant identities (empty means the row closes)."""
-        problems: List[str] = []
-        if self.offered != self.admitted + self.rejected:
-            problems.append(
-                f"tenant {self.tenant}: offered={self.offered} != "
-                f"admitted={self.admitted} + rejected={self.rejected}"
-            )
-        accounted = (
-            self.served + self.shed + self.failed
-            + self.queued + self.in_flight
-        )
-        if self.admitted != accounted:
-            problems.append(
-                f"tenant {self.tenant}: admitted={self.admitted} != "
-                f"served={self.served} + shed={self.shed} + "
-                f"failed={self.failed} + queued={self.queued} + "
-                f"in_flight={self.in_flight}"
-            )
-        return problems
-
 
 @dataclass
-class ServeLedger:
+class ServeLedger(Ledger):
     """Aggregate server ledger plus per-tenant rows.
 
     Attributes
@@ -115,6 +119,31 @@ class ServeLedger:
         Bit-identity gate traffic (``verify=`` mode): served values
         re-computed serially and compared exactly.
     """
+
+    IDENTITIES = _ROW_IDENTITIES + (
+        Identity(
+            "rejected",
+            ("rejected_by_reason",),
+            "every rejection carries a typed reason",
+        ),
+        Identity(
+            "shed", ("shed_by_cause",), "every shed request carries a typed cause"
+        ),
+    ) + tuple(
+        Identity(bucket, (f"tenants.{bucket}",), "the tenant rows add up to the total")
+        for bucket in _TENANT_BUCKETS
+    )
+    SUMMARY = (
+        "serve: tenants={tenant_count} offered={offered} "
+        "admitted={admitted} rejected={rejected} "
+        "served={served} shed={shed} failed={failed} "
+        "retried={retried} late={late} "
+        "coalesced={coalesced_requests}req/{coalesced_launches}launch "
+        "verified={verified}/{verify_attempts}"
+    )
+    METRIC_PREFIX = "serve"
+    LABELS = {"rejected_by_reason": "reason", "shed_by_cause": "cause"}
+    GAUGES = {"tenants": "tenants"}
 
     offered: int = 0
     rejected: int = 0
@@ -208,100 +237,17 @@ class ServeLedger:
         self.retried += 1
         self.tenant(tenant).retried += 1
 
-    # -- identities -----------------------------------------------------
-    def imbalances(self) -> List[str]:
-        """Violated ledger identities (empty means the ledger closes)."""
-        problems: List[str] = []
-        if self.offered != self.admitted + self.rejected:
-            problems.append(
-                f"offered={self.offered} != admitted={self.admitted} "
-                f"+ rejected={self.rejected}"
-            )
-        accounted = (
-            self.served + self.shed + self.failed
-            + self.queued + self.in_flight
-        )
-        if self.admitted != accounted:
-            problems.append(
-                f"admitted={self.admitted} != served={self.served} "
-                f"+ shed={self.shed} + failed={self.failed} "
-                f"+ queued={self.queued} + in_flight={self.in_flight}"
-            )
-        if self.rejected != sum(self.rejected_by_reason.values()):
-            problems.append(
-                f"rejected={self.rejected} != "
-                f"sum(by reason)={sum(self.rejected_by_reason.values())}"
-            )
-        if self.shed != sum(self.shed_by_cause.values()):
-            problems.append(
-                f"shed={self.shed} != "
-                f"sum(by cause)={sum(self.shed_by_cause.values())}"
-            )
-        for bucket in (
-            "offered", "rejected", "admitted", "served", "shed",
-            "failed", "queued", "in_flight", "retried", "late",
-        ):
-            total = getattr(self, bucket)
-            by_tenant = sum(getattr(r, bucket) for r in self.tenants.values())
-            if total != by_tenant:
-                problems.append(
-                    f"{bucket}={total} != sum over tenants={by_tenant}"
-                )
-        for row in self.tenants.values():
-            problems.extend(row.imbalances())
-        return problems
-
-    def balances(self) -> bool:
-        """Does every ledger identity close?"""
-        return not self.imbalances()
-
+    # -- state ---------------------------------------------------------
     def drained(self) -> bool:
         """No request left queued or in flight?"""
         return self.queued == 0 and self.in_flight == 0
 
-    def explain(self) -> str:
-        """Account for every ledger identity with its current numbers."""
-        checks = [
-            (
-                "offered == admitted + rejected",
-                self.offered,
-                self.admitted + self.rejected,
-                "every submission is admitted or refused with a reason",
-            ),
-            (
-                "admitted == served + shed + failed + queued + in_flight",
-                self.admitted,
-                self.served + self.shed + self.failed
-                + self.queued + self.in_flight,
-                "every admitted request is somewhere, exactly once",
-            ),
-            (
-                "rejected == sum(rejected_by_reason)",
-                self.rejected,
-                sum(self.rejected_by_reason.values()),
-                "every rejection carries a typed reason",
-            ),
-            (
-                "shed == sum(shed_by_cause)",
-                self.shed,
-                sum(self.shed_by_cause.values()),
-                "every shed request carries a typed cause",
-            ),
-        ]
-        lines = []
-        for identity, lhs, rhs, meaning in checks:
-            mark = "ok" if lhs == rhs else "VIOLATED"
-            lines.append(f"[{mark}] {identity} ({lhs} vs {rhs}): {meaning}")
-        return "\n".join(lines)
+    @property
+    def tenant_count(self) -> int:
+        """Tenants seen so far."""
+        return len(self.tenants)
 
-    def format(self) -> str:
-        """One-line summary for logs and ``synthetictest`` output."""
-        return (
-            f"serve: tenants={len(self.tenants)} offered={self.offered} "
-            f"admitted={self.admitted} rejected={self.rejected} "
-            f"served={self.served} shed={self.shed} failed={self.failed} "
-            f"retried={self.retried} late={self.late} "
-            f"coalesced={self.coalesced_requests}req/"
-            f"{self.coalesced_launches}launch "
-            f"verified={self.verified}/{self.verified + self.verify_failures}"
-        )
+    @property
+    def verify_attempts(self) -> int:
+        """Served values put through the bit-identity gate."""
+        return self.verified + self.verify_failures

@@ -215,6 +215,40 @@ class TestBlockedMatchesReferenceByteForByte:
         assert got[3] == expected[3], "upper bank differs"
 
 
+def _launch_bytes(backend, case, dtype, launch):
+    """Partials and scale-bank bytes after running a scaled concurrent
+    plan's sets through ``launch`` (``update_partials_set`` or
+    ``update_partials_serial``)."""
+    tree, model, patterns = case
+    instance = create_instance(
+        tree, model, patterns, rates=GAMMA, dtype=dtype, backend=backend,
+        scaling=True,
+    )
+    plan = make_plan(tree, "concurrent", scaling=True)
+    instance.update_transition_matrices(0, plan.matrix_indices, plan.branch_lengths)
+    for op_set in plan.operation_sets:
+        getattr(instance, launch)(op_set)
+    partials = instance._partials[instance._partials_valid].tobytes()
+    scales = [instance.scale.read(i).tobytes() for i in range(instance.scale.count)]
+    return partials, scales
+
+
+class TestSerialMatchesSetByteForByte:
+    """Per-operation launches (the degrade, injector and deadline-guard
+    path) compute exactly the bits of the batched set launch."""
+
+    @pytest.mark.parametrize("backend", [ReferenceBackend, BlockedNumpyBackend])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("reroot", [False, True], ids=["given", "rerooted"])
+    @pytest.mark.parametrize("topology", ["pectinate", "random", "balanced"])
+    def test_serial_launches_match_set_launches(self, topology, reroot, dtype, backend):
+        case = _protein_case(topology, reroot)
+        batched = _launch_bytes(backend(), case, dtype, "update_partials_set")
+        serial = _launch_bytes(backend(), case, dtype, "update_partials_serial")
+        assert serial[0] == batched[0], "partials differ"
+        assert serial[1] == batched[1], "scale bank differs"
+
+
 class TestSharedArena:
     def test_arena_adoption_across_backends(self):
         """One arena may serve instances on different backends."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,71 @@ class TestFaultSchedule:
         assert schedule.injected == 0
 
 
+#: One letter per decision ("." = no fault), recorded before the launch
+#: and shard schedules were merged: seeded runs must replay bit for bit.
+_CODES = {
+    "launch": "L", "transient": "T", "alloc": "A", "nan": "N", "underflow": "U",
+    "shard_lost": "l", "shard_stall": "s", "shard_underflow": "u",
+}
+GOLDEN_STREAMS = {
+    (11, "launch"): "N.A.A....T....T..A.U.T.A..NL...TL..L...LL.NNL.AUNL..TT....L.L...",
+    (11, "shard"): ".lul....lu......lul...u..s..lu...ll......s....s...u...uls..l.l..",
+    (2024, "launch"): "...UL.A.AA...T..T.LT..T...TT....L..TA........AUL..L.....LA.LL.NN",
+    (2024, "shard"): ".u...uu......l......l...l....s.l..s.lu..l....su..s.....l.llss..l",
+}
+
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("seed", [11, 2024])
+    def test_first_64_launch_decisions(self, seed):
+        schedule = FaultSchedule(FaultSpec(rate=0.3, seed=seed))
+        got = "".join(_CODES.get(schedule.draw(), ".") for _ in range(64))
+        assert got == GOLDEN_STREAMS[seed, "launch"]
+
+    @pytest.mark.parametrize("seed", [11, 2024])
+    def test_first_64_shard_decisions(self, seed):
+        schedule = FaultSchedule(FaultSpec(rate=0.3, seed=seed))
+        got = "".join(
+            _CODES.get(schedule.draw_keyed(i // 4, i % 4), ".") for i in range(64)
+        )
+        assert got == GOLDEN_STREAMS[seed, "shard"]
+
+    def test_one_budget_and_one_tally_across_both_draws(self):
+        schedule = FaultSchedule(FaultSpec(rate=1.0, seed=3, max_faults=3))
+        draws = [schedule.draw(), schedule.draw_keyed(0, 0), schedule.draw()]
+        assert all(d is not None for d in draws)
+        assert schedule.draw_keyed(1, 0) is None and schedule.draw() is None
+        assert schedule.injected == sum(schedule.by_class.values()) == 3
+
+    def test_keyed_draws_from_many_threads_lose_no_count(self):
+        schedule = FaultSchedule(FaultSpec(rate=1.0, seed=5, max_faults=1500))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda t=t: [schedule.draw_keyed(t, a) for a in range(200)]
+                )
+                for t in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert schedule.injected == sum(schedule.by_class.values()) == 1500
+
+    def test_scoped_classes_are_checked(self):
+        with pytest.raises(ValueError):
+            FaultSpec(rate=0.1, classes=("launch", "shard_lost"))
+        launch_only = FaultSchedule(FaultSpec(rate=1.0, classes=("nan",)))
+        assert launch_only.draw() == "nan"
+        with pytest.raises(ValueError):
+            launch_only.draw_keyed(0, 0)
+
+
 class TestFaultInjector:
     @pytest.mark.parametrize(
         "cls,exc_type",
@@ -113,8 +181,8 @@ class TestFaultInjector:
         with pytest.raises(exc_type) as info:
             execute_plan(injector, plan)
         assert info.value.launch_index == 0
-        assert injector.log.injected == 1
-        assert injector.log.by_class == {cls: 1}
+        assert injector.schedule.injected == 1
+        assert injector.schedule.by_class == {cls: 1}
 
     def test_nan_poisoning_corrupts_silently(self):
         instance, plan = make_case()
@@ -123,7 +191,7 @@ class TestFaultInjector:
         )
         ll = execute_plan(injector, plan)
         assert np.isnan(ll)
-        assert injector.log.poisoned_buffers == 1
+        assert injector.poisoned_buffers == 1
 
     def test_underflow_poisoning_shrinks_partials(self):
         instance, plan = make_case()
@@ -146,7 +214,7 @@ class TestFaultInjector:
         clean = execute_plan(instance, plan)
         injector = FaultInjector(instance, FaultSpec())
         assert execute_plan(injector, plan) == clean
-        assert injector.log.injected == 0
+        assert injector.schedule.injected == 0
 
     def test_delegation(self):
         instance, plan = make_case()

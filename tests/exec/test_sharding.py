@@ -15,10 +15,10 @@ import pytest
 
 from repro.data import random_patterns
 from repro.exec import (
+    FaultSpec,
     LikelihoodPool,
     ShardAborted,
     ShardFailure,
-    ShardFaultSpec,
     ShardLedger,
     ShardedLikelihood,
     deterministic_sum,
@@ -158,7 +158,7 @@ class TestShardedLikelihood:
             model,
             patterns,
             n_shards=4,
-            fault_spec=ShardFaultSpec(
+            fault_spec=FaultSpec(
                 rate=1.0, seed=9, classes=("shard_underflow",), max_faults=2
             ),
         )
@@ -175,7 +175,7 @@ class TestShardedLikelihood:
             patterns,
             n_shards=2,
             retries=1,
-            fault_spec=ShardFaultSpec(
+            fault_spec=FaultSpec(
                 rate=1.0, seed=0, classes=("shard_lost",)
             ),
         )

@@ -13,8 +13,7 @@ from repro.obs import (
     NullRecorder,
     Recorder,
     get_recorder,
-    record_pool_stats,
-    record_serve_stats,
+    record_ledger,
     recording,
     set_recorder,
     validate_metrics,
@@ -144,27 +143,27 @@ def test_schedule_validation_counts_runs_and_violations():
     assert obs.metrics.counter("repro_schedule_violations_total").value == 1
 
 
-def test_record_pool_stats_exports_gauges_and_imbalances():
+def test_record_ledger_exports_pool_gauges_and_imbalances():
     recorder = Recorder()
     stats = PoolStats(workers=2, offered=5, completed=4, shed=1)
     stats.faults.errors = 0
-    record_pool_stats(stats, registry=recorder.metrics)
+    record_ledger(stats, registry=recorder.metrics)
     assert recorder.metrics.gauge("repro_pool_offered").value == 5
     assert recorder.metrics.gauge("repro_pool_completed").value == 4
     assert recorder.metrics.gauge("repro_pool_ledger_imbalances").value == 0
 
     broken = PoolStats(workers=2, offered=5, completed=3)  # 2 jobs lost
-    record_pool_stats(broken, registry=recorder.metrics)
+    record_ledger(broken, registry=recorder.metrics)
     assert recorder.metrics.gauge("repro_pool_ledger_imbalances").value == 1
 
 
-def test_record_pool_stats_defaults_to_global_recorder():
+def test_record_ledger_defaults_to_global_recorder():
     with recording() as obs:
-        record_pool_stats(PoolStats(workers=1))
+        record_ledger(PoolStats(workers=1))
     assert obs.metrics.gauge("repro_pool_workers").value == 1
 
 
-def test_record_serve_stats_exports_gauges_and_labeled_breakdowns():
+def test_record_ledger_exports_serve_gauges_and_labeled_breakdowns():
     from repro.serve import SHED_EXPIRED, ServeLedger
 
     ledger = ServeLedger()
@@ -180,7 +179,7 @@ def test_record_serve_stats_exports_gauges_and_labeled_breakdowns():
     ledger.record_shed("a", SHED_EXPIRED)
 
     recorder = Recorder()
-    record_serve_stats(ledger, registry=recorder.metrics)
+    record_ledger(ledger, registry=recorder.metrics)
     assert recorder.metrics.gauge("repro_serve_offered").value == 4
     assert recorder.metrics.gauge("repro_serve_served").value == 2
     assert recorder.metrics.gauge("repro_serve_late").value == 1
@@ -201,7 +200,7 @@ def test_record_serve_stats_exports_gauges_and_labeled_breakdowns():
     assert recorder.metrics.gauge("repro_serve_ledger_imbalances").value == 0
 
 
-def test_record_serve_stats_flags_an_unbalanced_ledger():
+def test_record_ledger_flags_an_unbalanced_serve_ledger():
     from repro.serve import ServeLedger
 
     broken = ServeLedger()
@@ -209,8 +208,19 @@ def test_record_serve_stats_flags_an_unbalanced_ledger():
     broken.record_admitted("a")
     broken.queued = 0  # lose the request: admitted != served+shed+failed+...
     recorder = Recorder()
-    record_serve_stats(broken, registry=recorder.metrics)
+    record_ledger(broken, registry=recorder.metrics)
     assert recorder.metrics.gauge("repro_serve_ledger_imbalances").value >= 1
+
+
+def test_record_ledger_exports_the_shard_family():
+    from repro.exec import ShardLedger
+
+    ledger = ShardLedger(total_shards=3, computed=3, submissions=3, ok=3, wins=3)
+    recorder = Recorder()
+    record_ledger(ledger, registry=recorder.metrics)
+    assert recorder.metrics.gauge("repro_shard_total_shards").value == 3
+    assert recorder.metrics.gauge("repro_shard_injected").value == 0
+    assert recorder.metrics.gauge("repro_shard_ledger_imbalances").value == 0
 
 
 def test_pool_stats_explain_names_each_identity():

@@ -21,7 +21,6 @@ from repro.exec import (
     FaultSpec,
     LikelihoodPool,
     RetryPolicy,
-    ShardFaultSpec,
     ShardedLikelihood,
 )
 from repro.inference import TreeLikelihood
@@ -61,7 +60,7 @@ def test_sharded_loglik_is_bit_stable(
         speculate=speculate,
         retries=8,
         fault_spec=(
-            ShardFaultSpec(rate=fault_rate, seed=seed) if fault_rate else None
+            FaultSpec(rate=fault_rate, seed=seed) if fault_rate else None
         ),
     )
     value = chaotic.log_likelihood()
