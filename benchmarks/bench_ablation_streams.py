@@ -15,10 +15,15 @@ from conftest import emit
 
 from repro.bench import format_table
 from repro.core import make_plan, optimal_reroot_fast
-from repro.gpu import GP100, WorkloadDims, streams_time_set_sizes, time_set_sizes
+from repro.gpu import GP100, WorkloadDims, price_launches, time_set_sizes
 from repro.trees import balanced_tree, pectinate_tree, random_attachment_tree
 
 DIMS = WorkloadDims(patterns=512, states=4)
+
+
+def _launches(sizes):
+    """One launch per operation set, every operation at ``DIMS``."""
+    return [[(k, DIMS)] for k in sizes]
 
 
 def test_multiop_vs_streams(benchmark, results_dir):
@@ -36,7 +41,7 @@ def test_multiop_vs_streams(benchmark, results_dir):
         serial = time_set_sizes(GP100, DIMS, [1] * sum(sizes))
         rows_for_streams = {}
         for n_streams in (2, 4, 8, 16):
-            stream = streams_time_set_sizes(GP100, DIMS, sizes, n_streams)
+            stream = price_launches(GP100, _launches(sizes), n_streams)
             rows_for_streams[n_streams] = stream.seconds
         best_stream = min(rows_for_streams.values())
         rows.append(
@@ -64,4 +69,4 @@ def test_multiop_vs_streams(benchmark, results_dir):
 
     tree = balanced_tree(256)
     sizes = make_plan(tree).set_sizes
-    benchmark(streams_time_set_sizes, GP100, DIMS, sizes, 8)
+    benchmark(price_launches, GP100, _launches(sizes), 8)

@@ -32,7 +32,7 @@ from repro.bench import format_table
 from repro.bench.harness import build_tree
 from repro.core import create_instance, execute_plan, make_plan
 from repro.data import random_patterns
-from repro.gpu import WorkloadDims, fit_device_spec, launch_time
+from repro.gpu import WorkloadDims, fit_device_spec, time_set_sizes
 from repro.models import random_gtr
 
 TAXA = 256
@@ -128,7 +128,7 @@ def test_backend_matrix(benchmark, results_dir):
             samples.append((k, best))
         spec = fit_device_spec(f"measured:{name}", dims, samples)
         widest = max(k for k, _ in samples)
-        modelled = launch_time(spec, dims, widest).seconds
+        modelled = time_set_sizes(spec, dims, [widest]).seconds
         measured = min(t for k, t in samples if k == widest)
         calib_rows.append(
             {

@@ -118,9 +118,11 @@ def test_coalescing_throughput_and_latency(results_dir):
     wdims = WorkloadDims(patterns=512, states=4, categories=4)
     set_shape = [8, 4, 2, 1]
     model_rows = []
-    for width, req_s, per_req_s in device.coalescing_curve(
-        set_shape, wdims, [1, 2, 4, 8, 16, 32]
-    ):
+    for width in (1, 2, 4, 8, 16, 32):
+        per_req_s = device.time_coalesced(
+            [set_shape] * width, wdims
+        ).coalesced_seconds
+        req_s = width / per_req_s
         model_rows.append(
             {
                 "width": width,

@@ -33,7 +33,7 @@ from repro.bench import format_table
 from repro.core import make_plan
 from repro.data import random_patterns
 from repro.exec import LikelihoodPool, ShardedLikelihood
-from repro.exec.sharding import deterministic_sum, reference_terms
+from repro.exec.sharding import deterministic_sum, plan_shards, reference_terms
 from repro.gpu import GP100, SimulatedDevice, WorkloadDims
 from repro.models import JC69
 from repro.trees import balanced_tree
@@ -163,7 +163,11 @@ def test_device_model_scaling_curve_is_monotone(results_dir):
     plan = make_plan(tree, "concurrent")
     dims = WorkloadDims(patterns=SITES, states=4)
     device = SimulatedDevice(GP100)
-    curve = device.shard_scaling_curve(plan, dims, [1, 2, 4, 8, 16, 32])
+    curve = []
+    for n in (1, 2, 4, 8, 16, 32):
+        widths = [s.width for s in plan_shards(SITES, n)]
+        timing = device.time_sharded(plan, dims, widths, n_workers=len(widths))
+        curve.append((n, SITES / timing.seconds))
     rows = [
         {
             "shards": n,

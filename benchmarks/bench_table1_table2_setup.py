@@ -13,7 +13,7 @@ from conftest import emit
 
 from repro.bench import format_table
 from repro.bench.synthetictest import build_parser
-from repro.gpu import GP100, WorkloadDims, launch_time
+from repro.gpu import GP100, WorkloadDims, time_set_sizes
 
 
 TABLE2_OPTIONS = [
@@ -48,8 +48,8 @@ def test_table1_device_spec(benchmark, results_dir):
     assert GP100.memory_bandwidth_gbs == 720.0
 
     dims = WorkloadDims(512, 4)
-    timing = benchmark(launch_time, GP100, dims, 16)
-    assert timing.n_waves >= 1
+    timing = benchmark(time_set_sizes, GP100, dims, [16])
+    assert timing.launches[0].n_waves >= 1
 
 
 def test_table2_cli_options(benchmark, results_dir):

@@ -7,8 +7,8 @@ obligation. Every operation carries a read/write *footprint* over the
 engine's three resource classes (partials buffers, transition-matrix
 buffers, scale buffers); :func:`check_set_races` proves each set free of
 intra-set WAW/WAR/RAW hazards, and :func:`check_stream_schedule` extends
-the proof to multi-stream launch schedules (the GPU simulator's
-``streams`` mechanism), where operations in *different* streams are
+the proof to multi-stream launch schedules (the device model's
+``n_streams > 0`` launches), where operations in *different* streams are
 unordered between synchronization points.
 
 Two further static lints guard the incremental engine's shared state:
@@ -231,7 +231,8 @@ def round_robin_streams(
 
     Operations of each set are dealt round-robin across ``n_streams``
     streams — exactly the ``ceil(k / S)`` rounds the analytical streams
-    model (:func:`repro.gpu.streams.streams_set_time`) charges for.
+    model (:func:`repro.gpu.perfmodel.price_launches` with
+    ``n_streams > 0``) charges for.
     """
     if n_streams < 1:
         raise ValueError("need at least one stream")

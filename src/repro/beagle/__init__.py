@@ -14,8 +14,6 @@ from .kernels import (
     operation_flops,
     rescale_partials,
     root_site_likelihoods,
-    update_partials,
-    update_partials_batch,
 )
 from .scaling import ScaleBufferBank
 from .workspace import TransitionMatrixCache, Workspace
@@ -45,8 +43,6 @@ __all__ = [
     "operations_independent",
     "validate_operation_order",
     "child_contribution",
-    "update_partials",
-    "update_partials_batch",
     "rescale_partials",
     "root_site_likelihoods",
     "edge_site_likelihoods",

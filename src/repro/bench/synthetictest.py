@@ -53,7 +53,7 @@ from ..exec import (
     ResilientInstance,
     RetryPolicy,
 )
-from ..gpu import GP100, SimulatedDevice, WorkloadDims
+from ..gpu import GP100, SimulatedDevice, WorkloadDims, price_launches
 from ..models import random_gtr
 from ..obs import Recorder, get_recorder, record_ledger, set_recorder
 from ..trees import tree_height
@@ -897,10 +897,8 @@ def _run_benchmark(args, out) -> int:
     else:
         device = SimulatedDevice(GP100)
         if args.streams:
-            from ..gpu.streams import streams_time_set_sizes
-
-            timing = streams_time_set_sizes(
-                GP100, dims, plan.set_sizes, args.streams
+            timing = price_launches(
+                GP100, [[(k, dims)] for k in plan.set_sizes], args.streams
             )
             mechanism = f"streams (S={args.streams})"
         else:
@@ -926,7 +924,11 @@ def _run_benchmark(args, out) -> int:
         if args.fault_rate > 0.0 and args.resilience != "none":
             spec = FaultSpec(rate=args.fault_rate, seed=args.fault_seed)
             r_timing, r_stats = device.time_plan_resilient(
-                plan, dims, spec, _resilience_policy(args.resilience)
+                plan,
+                dims,
+                spec,
+                _resilience_policy(args.resilience),
+                n_streams=args.streams,
             )
             print(
                 f"modelled resilient time: {r_timing.seconds * 1e6:.2f} us "
@@ -936,7 +938,6 @@ def _run_benchmark(args, out) -> int:
             )
             print(f"modelled {r_stats.format()}", file=out)
         if args.pool:
-            mech = "streams" if args.streams else "kernel"
             p_timing = device.time_pool(
                 plan,
                 dims,
@@ -944,8 +945,7 @@ def _run_benchmark(args, out) -> int:
                 args.pool,
                 worker_fault_specs=_worker_fault_specs(args),
                 policy=_resilience_policy(args.resilience),
-                mechanism=mech,
-                n_streams=args.streams or 4,
+                n_streams=args.streams,
             )
             print(
                 f"modelled pool: {args.pool} workers, {args.reps} jobs -> "
@@ -959,8 +959,7 @@ def _run_benchmark(args, out) -> int:
             if args.full_timing:
                 print("modelled degraded-fleet curve (evicted, jobs/s):", file=out)
                 curve = device.degraded_fleet_curve(
-                    plan, dims, args.reps, args.pool,
-                    mechanism=mech, n_streams=args.streams or 4,
+                    plan, dims, args.reps, args.pool, n_streams=args.streams
                 )
                 for evicted_count, throughput in curve:
                     print(

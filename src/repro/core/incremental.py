@@ -30,7 +30,7 @@ from ..trees.node import Node
 from ..trees.traversal import node_depths
 from .opsets import build_operation_sets
 from .planner import ExecutionPlan, create_instance, execute_plan, make_plan
-from .schedule import operation_for_node
+from .schedule import operations_for_nodes
 
 __all__ = [
     "dirty_nodes",
@@ -78,10 +78,7 @@ def incremental_operation_sets(
     consumes it. Raises :class:`repro.analysis.PlanVerificationError` on
     a hazard.
     """
-    ops = [
-        operation_for_node(tree, node, scaling=scaling)
-        for node in dirty_nodes(tree, changed)
-    ]
+    ops = operations_for_nodes(tree, dirty_nodes(tree, changed), scaling=scaling)
     sets = build_operation_sets(ops)
     if verify:
         # Imported lazily: repro.analysis depends on repro.core.

@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence
 from ..beagle.operations import Operation
 from ..trees import Tree
 from ..trees.traversal import node_heights
-from .schedule import operation_for_node, reverse_levelorder_operations
+from .schedule import operations_for_nodes, reverse_levelorder_operations
 
 __all__ = [
     "build_operation_sets",
@@ -82,11 +82,9 @@ def level_schedule(tree: Tree, *, scaling: bool = False) -> List[List[Operation]
     by *any* grouping.
     """
     heights = node_heights(tree)
+    nodes = [n for n in tree.root.traverse_postorder() if not n.is_tip]
     by_height: Dict[int, List[Operation]] = {}
-    for node in tree.root.traverse_postorder():
-        if node.is_tip:
-            continue
-        op = operation_for_node(tree, node, scaling=scaling)
+    for node, op in zip(nodes, operations_for_nodes(tree, nodes, scaling=scaling)):
         by_height.setdefault(heights[id(node)], []).append(op)
     return [by_height[h] for h in sorted(by_height)]
 

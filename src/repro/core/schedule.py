@@ -29,14 +29,15 @@ plan never uses.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from ..beagle.operations import Operation
-from ..trees import Tree
+from ..trees import Node, Tree
 from ..trees.traversal import levelorder, reverse_levelorder
 
 __all__ = [
     "operation_for_node",
+    "operations_for_nodes",
     "postorder_operations",
     "reverse_levelorder_operations",
     "matrix_updates",
@@ -48,42 +49,53 @@ __all__ = [
 ]
 
 
+def operations_for_nodes(
+    tree: Tree, nodes: Iterable[Node], *, scaling: bool = False
+) -> List[Operation]:
+    """The :class:`Operation` of each internal node in ``nodes``, in order.
+
+    The tip count that offsets scale-buffer indices is read once per
+    call: ``Tree.n_tips`` walks the whole tree.
+    """
+    n_tips = tree.n_tips if scaling else 0
+    ops: List[Operation] = []
+    for node in nodes:
+        if node.is_tip:
+            raise ValueError("tips have no partial-likelihood operation")
+        if len(node.children) != 2:
+            raise ValueError("operations require a bifurcating tree")
+        left, right = node.children
+        dest = tree.index_of(node)
+        ops.append(
+            Operation(
+                destination=dest,
+                child1=tree.index_of(left),
+                child1_matrix=tree.index_of(left),
+                child2=tree.index_of(right),
+                child2_matrix=tree.index_of(right),
+                destination_scale=(dest - n_tips) if scaling else -1,
+            )
+        )
+    return ops
+
+
 def operation_for_node(tree: Tree, node, *, scaling: bool = False) -> Operation:
     """The :class:`Operation` computing one internal node's partials."""
-    if node.is_tip:
-        raise ValueError("tips have no partial-likelihood operation")
-    if len(node.children) != 2:
-        raise ValueError("operations require a bifurcating tree")
-    left, right = node.children
-    dest = tree.index_of(node)
-    return Operation(
-        destination=dest,
-        child1=tree.index_of(left),
-        child1_matrix=tree.index_of(left),
-        child2=tree.index_of(right),
-        child2_matrix=tree.index_of(right),
-        destination_scale=(dest - tree.n_tips) if scaling else -1,
-    )
+    return operations_for_nodes(tree, [node], scaling=scaling)[0]
 
 
 def postorder_operations(tree: Tree, *, scaling: bool = False) -> List[Operation]:
     """Operations in post-order: strictly serial dependencies."""
-    return [
-        operation_for_node(tree, node, scaling=scaling)
-        for node in tree.root.traverse_postorder()
-        if not node.is_tip
-    ]
+    nodes = (n for n in tree.root.traverse_postorder() if not n.is_tip)
+    return operations_for_nodes(tree, nodes, scaling=scaling)
 
 
 def reverse_levelorder_operations(
     tree: Tree, *, scaling: bool = False
 ) -> List[Operation]:
     """Operations in reverse level-order (BEAGLE's required order)."""
-    return [
-        operation_for_node(tree, node, scaling=scaling)
-        for node in reverse_levelorder(tree)
-        if not node.is_tip
-    ]
+    nodes = (n for n in reverse_levelorder(tree) if not n.is_tip)
+    return operations_for_nodes(tree, nodes, scaling=scaling)
 
 
 def matrix_updates(tree: Tree) -> tuple[List[int], List[float]]:
@@ -131,10 +143,15 @@ def upper_operation_for_node(tree: Tree, node) -> Operation:
         raise ValueError(
             "root children are seeded, not computed; see upper_seeds()"
         )
+    return _upper_operation(tree, node, upper_base(tree))
+
+
+def _upper_operation(tree: Tree, node, base: int) -> Operation:
+    """:func:`upper_operation_for_node` with ``upper_base`` precomputed."""
+    parent = node.parent
     sibling = node.sibling()
     if sibling is None:
         raise ValueError("upper operations require a bifurcating tree")
-    base = upper_base(tree)
     sibling_index = tree.index_of(sibling)
     parent_index = tree.index_of(parent)
     if parent.parent.parent is None and len(tree.root.children) == 2:
@@ -162,8 +179,9 @@ def preorder_upper_operations(tree: Tree) -> List[Operation]:
     whole levels, mirroring the reroot-aware batching of the post-order
     pass: a shallower (better-rooted) tree yields fewer pre-order sets.
     """
+    base = upper_base(tree)
     return [
-        upper_operation_for_node(tree, node)
+        _upper_operation(tree, node, base)
         for node in levelorder(tree)
         if node.parent is not None and node.parent.parent is not None
     ]

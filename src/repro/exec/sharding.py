@@ -461,18 +461,14 @@ class ShardedLikelihood:
         return self.n_shards * self._plan.n_launches
 
     def modelled_seconds(self, spec) -> float:
-        """Device-model time of one evaluation, summed over shards."""
-        from ..gpu.perfmodel import WorkloadDims, time_set_sizes
+        """Device-model time of one evaluation, summed over the shards."""
+        from ..gpu import SimulatedDevice, WorkloadDims
 
-        total = 0.0
-        for shard in self.shards:
-            dims = WorkloadDims(
-                patterns=shard.width,
-                states=self.model.n_states,
-                categories=self.rates.n_categories if self.rates else 1,
-            )
-            total += time_set_sizes(spec, dims, self._plan.set_sizes).seconds
-        return total
+        dims = WorkloadDims.of(self.patterns.n_patterns, self.model, self.rates)
+        widths = [shard.width for shard in self.shards]
+        return SimulatedDevice(spec).time_sharded(
+            self._plan, dims, widths
+        ).total_seconds
 
     def with_tree(self, tree: Tree) -> "ShardedLikelihood":
         """A new sharded evaluator for another tree; shares pool/config."""

@@ -3,20 +3,14 @@
 from .calibrate import fit_device_spec
 from .device import GP100, QUADRO_P5000, SMALL_GPU, DeviceSpec
 from .perfmodel import (
-    launch_time_mixed,
+    ASYNC_ISSUE_FRACTION,
     EvaluationTiming,
     LaunchTiming,
     WorkloadDims,
-    launch_time,
+    price_launches,
     time_set_sizes,
 )
-from .streams import (
-    ASYNC_ISSUE_FRACTION,
-    streams_set_time,
-    streams_time_set_sizes,
-)
 from .simulator import (
-    BenchmarkPoint,
     ShardTiming,
     SimulatedDevice,
     simulate_tree,
@@ -31,14 +25,10 @@ __all__ = [
     "WorkloadDims",
     "LaunchTiming",
     "EvaluationTiming",
-    "launch_time",
-    "launch_time_mixed",
+    "price_launches",
     "time_set_sizes",
     "ASYNC_ISSUE_FRACTION",
-    "streams_set_time",
-    "streams_time_set_sizes",
     "SimulatedDevice",
-    "BenchmarkPoint",
     "ShardTiming",
     "simulate_tree",
     "simulated_speedup",

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import zip_longest
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,14 +29,13 @@ from .perfmodel import (
     EvaluationTiming,
     LaunchTiming,
     WorkloadDims,
-    launch_time,
-    launch_time_mixed,
+    _fold,
+    price_launches,
     time_set_sizes,
 )
 
 __all__ = [
     "SimulatedDevice",
-    "BenchmarkPoint",
     "CoalesceTiming",
     "GradientTiming",
     "PoolTiming",
@@ -44,18 +43,6 @@ __all__ = [
     "simulate_tree",
     "simulated_speedup",
 ]
-
-
-@dataclass(frozen=True)
-class BenchmarkPoint:
-    """One row of a paper-style benchmark table."""
-
-    label: str
-    n_tips: int
-    n_launches: int
-    seconds: float
-    gflops: float
-    speedup_vs_serial: float
 
 
 @dataclass(frozen=True)
@@ -225,8 +212,7 @@ class ShardTiming:
     shard_seconds:
         Per-shard device time, in shard order.
     shard_widths:
-        Pattern count of each shard (as :func:`repro.exec.sharding.
-        plan_shards` would cut them).
+        Pattern count of each shard, as the caller cut them.
     busy_seconds:
         Per-worker load under round-robin shard placement.
     """
@@ -248,6 +234,11 @@ class ShardTiming:
         return self.unsharded_seconds / self.seconds if self.seconds else 0.0
 
     @property
+    def total_seconds(self) -> float:
+        """Device-seconds summed over every shard."""
+        return _fold(self.shard_seconds)
+
+    @property
     def overhead(self) -> float:
         """Total sharded device-seconds over unsharded seconds, minus 1.
 
@@ -258,7 +249,7 @@ class ShardTiming:
         """
         if not self.unsharded_seconds:
             return 0.0
-        return sum(self.shard_seconds) / self.unsharded_seconds - 1.0
+        return self.total_seconds / self.unsharded_seconds - 1.0
 
 
 class SimulatedDevice:
@@ -282,18 +273,6 @@ class SimulatedDevice:
             )
         return timing
 
-    def _set_cost(
-        self, dims: WorkloadDims, k: int, mechanism: str, n_streams: int
-    ) -> LaunchTiming:
-        """Modelled cost of one operation set under a launch mechanism."""
-        if mechanism == "streams":
-            from .streams import streams_set_time
-
-            return streams_set_time(self.spec, dims, k, n_streams)
-        if mechanism != "kernel":
-            raise ValueError(f"unknown launch mechanism {mechanism!r}")
-        return launch_time(self.spec, dims, k)
-
     def time_plan_resilient(
         self,
         plan: ExecutionPlan,
@@ -301,8 +280,7 @@ class SimulatedDevice:
         faults: Union["FaultSpec", "FaultSchedule"],
         policy: Optional["RetryPolicy"] = None,
         *,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
+        n_streams: int = 0,
     ) -> Tuple[EvaluationTiming, "FaultStats"]:
         """Simulated timing of one plan under faults and recovery.
 
@@ -316,11 +294,11 @@ class SimulatedDevice:
         to per-operation launches when the policy allows, so the returned
         timing quantifies what resilience costs in device time.
 
-        ``mechanism`` selects the launch model: ``"kernel"`` is the
-        paper's multi-operation kernel; ``"streams"`` issues each set
-        through :func:`repro.gpu.streams.streams_set_time` (a faulting
-        attempt re-pays the whole stream round, which is why the streams
-        ablation degrades faster under faults).
+        ``n_streams`` selects the launch mechanism as in
+        :func:`~repro.gpu.perfmodel.price_launches`: ``0`` is the paper's
+        multi-operation kernel; ``S > 0`` issues each set through ``S``
+        streams (a faulting attempt re-pays the whole stream round, which
+        is why the streams ablation degrades faster under faults).
 
         Returns the timing plus the modelled
         :class:`~repro.exec.resilient.FaultStats` (detection is perfect
@@ -333,10 +311,8 @@ class SimulatedDevice:
         policy = policy or RetryPolicy()
         stats = FaultStats(schedules=(schedule,))
         launches: List[LaunchTiming] = []
-        self._model_plan(
-            plan, dims, schedule, policy, stats, launches, mechanism, n_streams
-        )
-        return EvaluationTiming(launches=launches, dims=dims), stats
+        self._model_plan(plan, dims, schedule, policy, stats, launches, n_streams)
+        return EvaluationTiming(launches=launches), stats
 
     def _model_plan(
         self,
@@ -346,16 +322,21 @@ class SimulatedDevice:
         policy: "RetryPolicy",
         stats: "FaultStats",
         launches: List[LaunchTiming],
-        mechanism: str,
         n_streams: int,
     ) -> bool:
         """Model one plan evaluation; returns False if any set errored."""
+        # Every attempt of set i costs prices[i]; a degraded per-operation
+        # launch costs prices[-1].
+        sizes = plan.set_sizes
+        prices = price_launches(
+            self.spec, [[(k, dims)] for k in sizes + [1]], n_streams
+        ).launches
 
-        def run_launch(k: int, batched: bool) -> bool:
+        def run_launch(price: LaunchTiming, batched: bool) -> bool:
             failures = 0
             underflows = 0
             while True:
-                launches.append(self._set_cost(dims, k, mechanism, n_streams))
+                launches.append(price)
                 fault = schedule.draw(batched=batched)
                 if fault is None:
                     return True
@@ -373,12 +354,14 @@ class SimulatedDevice:
                 stats.retried += 1
 
         succeeded = True
-        for size in plan.set_sizes:
-            if run_launch(size, batched=size > 1):
+        for size, price in zip(sizes, prices):
+            if run_launch(price, batched=size > 1):
                 continue
             if policy.degrade and size > 1:
                 stats.degraded += 1
-                if not all(run_launch(1, batched=False) for _ in range(size)):
+                if not all(
+                    run_launch(prices[-1], batched=False) for _ in range(size)
+                ):
                     stats.errors += 1
                     succeeded = False
             else:
@@ -399,8 +382,7 @@ class SimulatedDevice:
         worker_fault_specs: Optional[Sequence[Optional["FaultSpec"]]] = None,
         policy: Optional["RetryPolicy"] = None,
         failure_threshold: int = 3,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
+        n_streams: int = 0,
     ) -> PoolTiming:
         """List-scheduled timing of ``n_jobs`` identical evaluations on a
         pool of ``n_workers`` modelled devices.
@@ -465,16 +447,9 @@ class SimulatedDevice:
             else:
                 launches: List[LaunchTiming] = []
                 ok = self._model_plan(
-                    plan,
-                    dims,
-                    schedule,
-                    policy,
-                    stats,
-                    launches,
-                    mechanism,
-                    n_streams,
+                    plan, dims, schedule, policy, stats, launches, n_streams
                 )
-                elapsed = sum(launch.seconds for launch in launches)
+                elapsed = EvaluationTiming(launches).seconds
             available[worker] += elapsed
             busy[worker] += elapsed
             if ok:
@@ -515,8 +490,7 @@ class SimulatedDevice:
         n_jobs: int,
         n_workers: int,
         *,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
+        n_streams: int = 0,
     ) -> List[Tuple[int, float]]:
         """Throughput (jobs/s) of a clean pool as workers are evicted.
 
@@ -530,12 +504,8 @@ class SimulatedDevice:
             raise ValueError("need at least one worker")
         if n_jobs < 1:
             raise ValueError("need at least one job")
-        job_seconds = EvaluationTiming(
-            launches=[
-                self._set_cost(dims, k, mechanism, n_streams)
-                for k in plan.set_sizes
-            ],
-            dims=dims,
+        job_seconds = price_launches(
+            self.spec, [[(k, dims)] for k in plan.set_sizes], n_streams
         ).seconds
         curve: List[Tuple[int, float]] = []
         for evicted_count in range(n_workers):
@@ -552,8 +522,7 @@ class SimulatedDevice:
         member_set_sizes: Sequence[Sequence[int]],
         dims: WorkloadDims,
         *,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
+        n_streams: int = 0,
         member_patterns: Optional[Sequence[int]] = None,
     ) -> CoalesceTiming:
         """Modelled timing of one coalesced cross-request batch.
@@ -561,11 +530,10 @@ class SimulatedDevice:
         ``member_set_sizes`` holds each member's plan set sizes (the
         shape :class:`~repro.serve.coalesce.CoalescedBatch` exposes).
         The coalesced schedule runs members in lockstep — round ``r``
-        fuses every member's ``r``-th set into one launch of the summed
-        operation count, the BEAGLE 4.1 multi-client picture — while the
-        solo baseline launches every member's every set separately. All
-        members share ``dims``: the assembler only coalesces requests
-        whose dimensions agree.
+        fuses every member's ``r``-th set into one launch, the BEAGLE 4.1
+        multi-client picture — while the solo baseline launches every
+        member's every set separately. All members share ``dims``: the
+        assembler only coalesces requests whose dimensions agree.
 
         For the assembler's ``"pad"`` mode pass the bucket's padded
         pattern count as ``dims.patterns`` *and* each member's true
@@ -576,160 +544,95 @@ class SimulatedDevice:
         lanes' device-time cost, so ``pad`` vs ``split`` is an honest
         trade-off instead of padding waste cancelling out of the
         speedup. True-width pricing needs the additive launch model, so
-        ``member_patterns`` requires the ``"kernel"`` mechanism.
+        ``member_patterns`` requires the multi-operation kernel
+        (``n_streams=0``).
         """
         members = [list(sizes) for sizes in member_set_sizes]
         if not members or any(not sizes for sizes in members):
             raise ValueError("every member needs a non-empty set-size list")
+        member_dims = [dims] * len(members)
         if member_patterns is not None:
-            if mechanism != "kernel":
+            if n_streams:
                 raise ValueError(
-                    "member_patterns pricing requires the 'kernel' mechanism"
+                    "member_patterns pricing requires the multi-operation "
+                    "kernel (n_streams=0)"
                 )
             if len(member_patterns) != len(members):
                 raise ValueError(
                     "member_patterns must give one pattern count per member"
                 )
             member_dims = [
-                WorkloadDims(
-                    patterns=patterns,
-                    states=dims.states,
-                    categories=dims.categories,
-                )
+                WorkloadDims(patterns, dims.states, dims.categories)
                 for patterns in member_patterns
             ]
             if any(d.patterns > dims.patterns for d in member_dims):
                 raise ValueError(
                     "a member's true pattern count exceeds the padded width"
                 )
-        rounds: List[List[Tuple[int, int]]] = []
-        for sizes in zip_longest(*members):
-            rounds.append(
-                [(i, k) for i, k in enumerate(sizes) if k is not None]
-            )
-        coalesced = [
-            self._set_cost(
-                dims, sum(k for _, k in round_ops), mechanism, n_streams
-            )
-            for round_ops in rounds
+        rounds = [
+            [(i, k) for i, k in enumerate(sizes) if k is not None]
+            for sizes in zip_longest(*members)
         ]
+        coalesced = price_launches(
+            self.spec, [[(k, dims) for _, k in ops] for ops in rounds], n_streams
+        )
+        solo = price_launches(
+            self.spec,
+            [[(k, member_dims[i])] for i, sizes in enumerate(members) for k in sizes],
+            n_streams,
+        )
         wasted = 0.0
-        if member_patterns is None:
-            solo = [
-                self._set_cost(dims, k, mechanism, n_streams)
-                for sizes in members
-                for k in sizes
-            ]
-        else:
-            solo = [
-                self._set_cost(member_dims[i], k, mechanism, n_streams)
-                for i, sizes in enumerate(members)
-                for k in sizes
-            ]
-            # Padded launch cost minus a width-aware fused launch of the
-            # same operations at their true widths: the padded lanes'
-            # device time, per round.
-            for round_ops, padded in zip(rounds, coalesced):
-                n_ops = sum(k for _, k in round_ops)
-                true_threads = sum(
-                    k * member_dims[i].threads_per_operation
-                    for i, k in round_ops
-                )
-                true_flops = sum(
-                    k * member_dims[i].flops_per_operation
-                    for i, k in round_ops
-                )
-                ideal = launch_time_mixed(
-                    self.spec, n_ops, true_threads, true_flops
-                )
-                wasted += padded.seconds - ideal.seconds
+        if member_patterns is not None:
+            # Padded launch cost minus the same fused launch at the
+            # members' true widths: the padded lanes' device time.
+            ideal = price_launches(
+                self.spec, [[(k, member_dims[i]) for i, k in ops] for ops in rounds]
+            )
+            for padded, true in zip(coalesced.launches, ideal.launches):
+                wasted += padded.seconds - true.seconds
         return CoalesceTiming(
-            coalesced_seconds=sum(t.seconds for t in coalesced),
-            solo_seconds=sum(t.seconds for t in solo),
-            coalesced_launches=len(coalesced),
-            solo_launches=len(solo),
+            coalesced_seconds=coalesced.seconds,
+            solo_seconds=solo.seconds,
+            coalesced_launches=coalesced.n_launches,
+            solo_launches=solo.n_launches,
             width=len(members),
             wasted_seconds=wasted,
         )
 
-    def coalescing_curve(
-        self,
-        set_sizes: Sequence[int],
-        dims: WorkloadDims,
-        widths: Sequence[int],
-        *,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
-    ) -> List[Tuple[int, float, float]]:
-        """Throughput and per-request latency as batch width grows.
-
-        Returns ``(width, requests_per_second, per_request_seconds)``
-        for homogeneous batches of ``width`` identical members with the
-        given ``set_sizes``. Throughput rises as the per-launch fixed
-        cost amortises across members; per-request latency *also* rises,
-        because every member waits for the whole batch — the curve the
-        serving bench plots and the brownout widen-first policy banks
-        on.
-        """
-        curve: List[Tuple[int, float, float]] = []
-        for width in widths:
-            if width < 1:
-                raise ValueError("widths must be positive")
-            timing = self.time_coalesced(
-                [list(set_sizes)] * width,
-                dims,
-                mechanism=mechanism,
-                n_streams=n_streams,
-            )
-            seconds = timing.coalesced_seconds
-            curve.append(
-                (width, width / seconds if seconds > 0.0 else 0.0, seconds)
-            )
-        return curve
-
     # ------------------------------------------------------------------
-    # Shard-count scaling (data-parallel site sharding)
+    # Data-parallel site sharding
     # ------------------------------------------------------------------
     def time_sharded(
         self,
         plan: ExecutionPlan,
         dims: WorkloadDims,
-        n_shards: int,
+        shard_widths: Sequence[int],
         *,
         n_workers: int = 1,
-        min_width: Optional[int] = None,
     ) -> ShardTiming:
-        """Modelled timing of one sharded evaluation.
+        """Modelled timing of one evaluation sharded along the pattern axis.
 
-        Shard widths come from :func:`repro.exec.sharding.plan_shards`
-        (even weights), so the model cuts the pattern axis exactly where
-        :class:`~repro.exec.sharding.ShardedLikelihood` would, including
-        the minimum-width floor. Each shard runs the *same* plan — the
-        tree does not change, only the pattern count per launch — and
-        shards are placed round-robin on ``n_workers`` modelled devices.
-        The deterministic host-side reduction is modelled as free: its
-        cost is ``O(n_patterns)`` additions against ``O(patterns ×
-        states² × tips)`` device work.
+        ``shard_widths`` are the shards' pattern counts as the caller cut
+        them — :func:`repro.exec.sharding.plan_shards` even cuts for a
+        what-if study, or the weight-balanced cuts a
+        :class:`~repro.exec.sharding.ShardedLikelihood` evaluates.
+        ``dims.patterns`` is the unsharded width. Each shard runs the
+        *same* plan — the tree does not change, only the pattern count
+        per launch — and shards are placed round-robin on ``n_workers``
+        modelled devices. The deterministic host-side reduction is
+        modelled as free: its cost is ``O(n_patterns)`` additions against
+        ``O(patterns × states² × tips)`` device work.
         """
-        from ..exec.sharding import MIN_SHARD_WIDTH, plan_shards
-
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        shards = plan_shards(
-            dims.patterns,
-            n_shards,
-            min_width=MIN_SHARD_WIDTH if min_width is None else min_width,
-        )
-        shard_seconds: List[float] = []
-        for shard in shards:
-            shard_dims = WorkloadDims(
-                patterns=shard.width,
-                states=dims.states,
-                categories=dims.categories,
-            )
-            shard_seconds.append(
-                time_set_sizes(self.spec, shard_dims, plan.set_sizes).seconds
-            )
+        shard_seconds = [
+            time_set_sizes(
+                self.spec,
+                WorkloadDims(width, dims.states, dims.categories),
+                plan.set_sizes,
+            ).seconds
+            for width in shard_widths
+        ]
         busy = [0.0] * n_workers
         for index, seconds in enumerate(shard_seconds):
             busy[index % n_workers] += seconds
@@ -739,41 +642,9 @@ class SimulatedDevice:
                 self.spec, dims, plan.set_sizes
             ).seconds,
             shard_seconds=tuple(shard_seconds),
-            shard_widths=tuple(shard.width for shard in shards),
+            shard_widths=tuple(shard_widths),
             busy_seconds=tuple(busy),
         )
-
-    def shard_scaling_curve(
-        self,
-        plan: ExecutionPlan,
-        dims: WorkloadDims,
-        shard_counts: Sequence[int],
-        *,
-        workers_per_shard: bool = True,
-        n_workers: int = 1,
-    ) -> List[Tuple[int, float]]:
-        """Patterns/second as the shard count grows.
-
-        Returns ``(n_shards, patterns_per_second)`` pairs. With
-        ``workers_per_shard`` every shard gets its own modelled device
-        (the scaling ceiling); otherwise shards share ``n_workers``
-        round-robin. The curve bends where the per-launch fixed cost —
-        paid once per shard per operation set — stops being amortised
-        by the shrinking shard width: the model's version of the
-        benchmark's throughput-vs-worker-count plot.
-        """
-        curve: List[Tuple[int, float]] = []
-        for count in shard_counts:
-            timing = self.time_sharded(
-                plan,
-                dims,
-                count,
-                n_workers=count if workers_per_shard else n_workers,
-            )
-            curve.append(
-                (count, dims.patterns / timing.seconds if timing.seconds else 0.0)
-            )
-        return curve
 
     def time_tree(
         self, tree: Tree, dims: WorkloadDims, mode: str = "concurrent"
@@ -820,15 +691,12 @@ class SimulatedDevice:
         gplan = plan if plan is not None else make_gradient_plan(tree, mode)
         sweep_sizes = list(gplan.post.set_sizes) + list(gplan.upper_set_sizes)
         one_sweep = time_set_sizes(self.spec, dims, sweep_sizes)
-        launches: List[LaunchTiming] = []
+        edge_sizes: List[int] = []
         edges = canonical_edges(gplan.tree)
         for edge in edges:
             rerooted = reroot_above(gplan.tree, edge, fraction=0.0)
-            edge_plan = make_plan(rerooted, mode, scaling=False)
-            launches.extend(
-                time_set_sizes(self.spec, dims, edge_plan.set_sizes).launches
-            )
-        per_edge = EvaluationTiming(launches=launches, dims=dims)
+            edge_sizes += make_plan(rerooted, mode, scaling=False).set_sizes
+        per_edge = time_set_sizes(self.spec, dims, edge_sizes)
         obs = get_recorder()
         if obs.enabled:
             obs.add_phase_seconds(
@@ -836,24 +704,6 @@ class SimulatedDevice:
             )
         return GradientTiming(
             one_sweep=one_sweep, per_edge=per_edge, n_edges=len(edges)
-        )
-
-    def benchmark(
-        self,
-        tree: Tree,
-        dims: WorkloadDims,
-        label: str = "",
-        mode: str = "concurrent",
-    ) -> BenchmarkPoint:
-        """A complete benchmark row for one tree."""
-        timing = self.time_tree(tree, dims, mode)
-        return BenchmarkPoint(
-            label=label or f"{tree.n_tips}-tip",
-            n_tips=tree.n_tips,
-            n_launches=timing.n_launches,
-            seconds=timing.seconds,
-            gflops=timing.gflops,
-            speedup_vs_serial=self.speedup(tree, dims, mode),
         )
 
 

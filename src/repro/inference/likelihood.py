@@ -24,6 +24,7 @@ from ..data.alignment import Alignment
 from ..data.patterns import PatternData, compress
 from ..exec.faults import FaultInjector, FaultSpec
 from ..exec.resilient import FaultStats, ResilientInstance, RetryPolicy
+from ..gpu.perfmodel import WorkloadDims, time_set_sizes
 from ..models.ratematrix import SubstitutionModel
 from ..models.siterates import RateCategories
 from ..trees import Tree
@@ -307,16 +308,14 @@ class TreeLikelihood:
         """Concurrent operation sets of the current tree."""
         return count_operation_sets(self.tree)
 
+    @property
+    def dims(self) -> WorkloadDims:
+        """Device-model dimensions of one evaluation."""
+        return WorkloadDims.of(self.patterns.n_patterns, self.model, self.rates)
+
     def modelled_seconds(self, spec) -> float:
         """Device-model time of one evaluation under the current plan."""
-        from ..gpu.perfmodel import WorkloadDims, time_set_sizes
-
-        dims = WorkloadDims(
-            patterns=self.patterns.n_patterns,
-            states=self.model.n_states,
-            categories=self.rates.n_categories if self.rates else 1,
-        )
-        return time_set_sizes(spec, dims, self.plan.set_sizes).seconds
+        return time_set_sizes(spec, self.dims, self.plan.set_sizes).seconds
 
     # ------------------------------------------------------------------
     def log_likelihood(self) -> float:
@@ -462,21 +461,6 @@ class TreeLikelihood:
         elif self._snapshot is not None:
             self._snapshot.restore()
         move.undo()
-
-    def modelled_incremental_seconds(self, spec) -> float:
-        """Device-model time of the most recent dirty-path evaluation."""
-        from ..gpu.perfmodel import WorkloadDims, time_set_sizes
-
-        if self._last_incremental_plan is None:
-            raise RuntimeError("no incremental plan has been executed yet")
-        dims = WorkloadDims(
-            patterns=self.patterns.n_patterns,
-            states=self.model.n_states,
-            categories=self.rates.n_categories if self.rates else 1,
-        )
-        return time_set_sizes(
-            spec, dims, self._last_incremental_plan.set_sizes
-        ).seconds
 
     def with_tree(self, tree: Tree) -> "TreeLikelihood":
         """A new evaluator for a different tree, sharing model and data.

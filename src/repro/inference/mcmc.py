@@ -22,6 +22,7 @@ import numpy as np
 from ..core.reroot_opt import optimal_reroot_fast
 from ..exec.checkpoint import NEWICK_PRECISION, MCMCCheckpoint
 from ..gpu.device import DeviceSpec, GP100
+from ..gpu.perfmodel import time_set_sizes
 from ..obs import get_recorder
 
 from ..trees import Tree
@@ -219,8 +220,10 @@ def run_mcmc(
     def modelled(ev) -> float:
         return ev.modelled_seconds(device) if device else 0.0
 
-    def modelled_incremental(ev) -> float:
-        return ev.modelled_incremental_seconds(device) if device else 0.0
+    def modelled_incremental(ev, plan) -> float:
+        if not device:
+            return 0.0
+        return time_set_sizes(device, ev.dims, plan.set_sizes).seconds
 
     checkpoint = None
     if resume and Path(checkpoint_path).exists():
@@ -307,7 +310,7 @@ def run_mcmc(
                 else:
                     launches += inc_plan.n_launches
                     operations += inc_plan.n_operations
-                    device_seconds += modelled_incremental(current)
+                    device_seconds += modelled_incremental(current, inc_plan)
                 candidate_prior = _log_prior(current.tree, prior_rate)
 
                 log_ratio = (

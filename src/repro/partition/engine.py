@@ -27,12 +27,7 @@ from ..core.planner import ExecutionPlan, create_instance, execute_plan, make_pl
 from ..core.reroot_opt import optimal_reroot_fast
 from ..gpu.device import DeviceSpec, GP100
 from ..obs import get_recorder
-from ..gpu.perfmodel import (
-    EvaluationTiming,
-    LaunchTiming,
-    WorkloadDims,
-    launch_time_mixed,
-)
+from ..gpu.perfmodel import EvaluationTiming, WorkloadDims, price_launches
 from ..trees import Tree
 from .dataset import PartitionedDataset
 
@@ -209,16 +204,6 @@ class PartitionedLikelihood:
         """Kernel launches when partitions share multi-operation launches."""
         return self.plan.n_launches
 
-    def _partition_dims(self) -> List[WorkloadDims]:
-        return [
-            WorkloadDims(
-                patterns=p.n_patterns,
-                states=p.model.n_states,
-                categories=p.rates.n_categories,
-            )
-            for p in self.dataset
-        ]
-
     def device_timing(
         self,
         spec: DeviceSpec = GP100,
@@ -227,33 +212,18 @@ class PartitionedLikelihood:
     ) -> EvaluationTiming:
         """Modelled device timing of one joint evaluation.
 
-        With ``concurrent_partitions`` every operation set is one merged
-        launch containing that set's operations from *all* partitions
-        (heterogeneous thread/FLOP totals handled by
-        :func:`repro.gpu.perfmodel.launch_time_mixed`); otherwise the
-        per-partition launches simply concatenate.
+        With ``concurrent_partitions`` every operation set is one fused
+        launch of that set's operations from *all* partitions, each at
+        its own width; otherwise the per-partition launches simply
+        concatenate.
         """
-        dims = self._partition_dims()
+        dims = [WorkloadDims.of(p.n_patterns, p.model, p.rates) for p in self.dataset]
         sizes = self.plan.set_sizes
-        launches: List[LaunchTiming] = []
         if concurrent_partitions:
-            for k in sizes:
-                n_ops = k * len(dims)
-                threads = sum(k * d.threads_per_operation for d in dims)
-                flops = sum(k * d.flops_per_operation for d in dims)
-                launches.append(launch_time_mixed(spec, n_ops, threads, flops))
+            launches = [[(k, d) for d in dims] for k in sizes]
         else:
-            for d in dims:
-                for k in sizes:
-                    launches.append(
-                        launch_time_mixed(
-                            spec,
-                            k,
-                            k * d.threads_per_operation,
-                            k * d.flops_per_operation,
-                        )
-                    )
-        return EvaluationTiming(launches=launches)
+            launches = [[(k, d)] for d in dims for k in sizes]
+        return price_launches(spec, launches)
 
     @property
     def n_launches(self) -> int:

@@ -25,7 +25,8 @@ This module implements that policy layer:
   allocation per batch instead of one per tenant. The *launch schedule*
   — lockstep rounds whose width is the sum of the members' same-depth
   set sizes — is what the GPU model prices
-  (:meth:`repro.gpu.simulator.SimulatedDevice.time_coalesced`): one
+  (:meth:`repro.gpu.simulator.SimulatedDevice.time_coalesced` fuses each
+  round into one :func:`repro.gpu.perfmodel.price_launches` launch): one
   launch overhead per round instead of one per member set.
 """
 

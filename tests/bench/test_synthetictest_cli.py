@@ -158,6 +158,16 @@ class TestExtensions:
             return float(line.split(":")[1].split("us")[0])
         assert eval_us(stream) >= eval_us(multi)
 
+    def test_fault_free_resilient_overhead_under_streams(self):
+        # The resilient replay and its fault-free baseline must price the
+        # same mechanism: with no fault injected the overhead is zero.
+        code, text = run_cli(
+            "--rsrc", "1", "--taxa", "32", "--streams", "4",
+            "--fault-rate", "1e-9", "--resilience", "full",
+        )
+        assert code == 0
+        assert "overhead +0.0%" in text
+
 
 class TestShardedRuns:
     def test_sharded_run_verifies_bitwise(self):

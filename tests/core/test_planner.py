@@ -11,11 +11,18 @@ from repro.core import (
     count_operation_sets,
     create_instance,
     execute_plan,
+    make_gradient_plan,
     make_plan,
 )
 from repro.data import compress, random_patterns, simulate_alignment
 from repro.models import HKY85, JC69, discrete_gamma
-from repro.trees import balanced_tree, parse_newick, pectinate_tree
+from repro.trees import (
+    Tree,
+    balanced_tree,
+    parse_newick,
+    pectinate_tree,
+    random_attachment_tree,
+)
 from tests.strategies import tree_strategy
 
 
@@ -174,3 +181,35 @@ class TestEngineCorrectness:
         first = execute_plan(inst, plan)
         second = execute_plan(inst, plan)
         assert first == second
+
+
+class TestPlanBuildCost:
+    """``Tree.n_tips`` walks the whole tree, so plan builders must read it
+    a constant number of times per build, not once per operation."""
+
+    @staticmethod
+    def tip_count_reads(monkeypatch, build, n_tips):
+        tree = random_attachment_tree(n_tips, 1)
+        reads = []
+        walk = Tree.n_tips.fget
+        monkeypatch.setattr(
+            Tree, "n_tips", property(lambda self: reads.append(1) or walk(self))
+        )
+        build(tree)
+        monkeypatch.undo()
+        return len(reads)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tree: make_plan(tree, scaling=True),
+            lambda tree: make_plan(tree, "level", scaling=True),
+            lambda tree: make_plan(tree, "serial", scaling=True),
+            make_gradient_plan,
+        ],
+        ids=["scaled", "scaled-level", "scaled-serial", "gradient"],
+    )
+    def test_tip_count_read_constant_times(self, monkeypatch, build):
+        small = self.tip_count_reads(monkeypatch, build, 16)
+        large = self.tip_count_reads(monkeypatch, build, 128)
+        assert small == large

@@ -9,10 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.beagle import operation_flops
-from repro.gpu import GP100, SMALL_GPU, WorkloadDims, launch_time, time_set_sizes
+from repro.gpu import GP100, SMALL_GPU, WorkloadDims, price_launches, time_set_sizes
 
 
 DIMS = WorkloadDims(patterns=512, states=4)
+
+
+def launch_time(spec, dims, k):
+    """One multi-operation launch of ``k`` operations at ``dims``."""
+    return price_launches(spec, [[(k, dims)]]).launches[0]
 
 
 class TestWorkloadDims:
@@ -63,6 +68,42 @@ class TestLaunchTime:
         together = launch_time(GP100, DIMS, a + b).seconds
         separate = launch_time(GP100, DIMS, a).seconds + launch_time(GP100, DIMS, b).seconds
         assert together <= separate + 1e-15
+
+
+class TestPriceLaunches:
+    def test_fused_launch_prices_its_totals(self):
+        # A mixed-width launch: threads and FLOPs add across groups, the
+        # operation count sets the scheduling overhead.
+        narrow = WorkloadDims(100, 4, 2)
+        (fused,) = price_launches(GP100, [[(3, DIMS), (2, narrow)]]).launches
+        threads = 3 * DIMS.threads_per_operation + 2 * narrow.threads_per_operation
+        assert fused.n_operations == 5
+        assert fused.n_waves == math.ceil(threads / GP100.concurrent_threads)
+        flops = 3 * DIMS.flops_per_operation + 2 * narrow.flops_per_operation
+        assert fused.flops == flops
+        assert fused.seconds == (
+            GP100.launch_overhead_s
+            + 5 * GP100.per_op_overhead_s
+            + fused.n_waves * GP100.wave_time_s
+        )
+
+    def test_uniform_fused_launch_equals_one_group(self):
+        split = price_launches(GP100, [[(3, DIMS), (4, DIMS)]]).launches[0]
+        assert split == launch_time(GP100, DIMS, 7)
+
+    def test_time_set_sizes_is_one_launch_per_set(self):
+        sizes = [4, 2, 1]
+        assert time_set_sizes(GP100, DIMS, sizes) == price_launches(
+            GP100, [[(k, DIMS)] for k in sizes]
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            price_launches(GP100, [[]])
+        with pytest.raises(ValueError):
+            price_launches(GP100, [[(0, DIMS)]])
+        with pytest.raises(ValueError):
+            price_launches(GP100, [[(1, DIMS)]], n_streams=-1)
 
 
 class TestEvaluationTiming:

@@ -19,12 +19,12 @@ from repro.core import (
 from repro.gpu import (
     GP100,
     SMALL_GPU,
-    BenchmarkPoint,
     SimulatedDevice,
     WorkloadDims,
     simulate_tree,
     simulated_speedup,
 )
+from repro.exec.sharding import plan_shards
 from repro.trees import balanced_tree, pectinate_tree, random_attachment_tree
 from tests.strategies import tree_strategy
 
@@ -43,13 +43,6 @@ class TestSimulatedDevice:
         tree = balanced_tree(16)
         timing = SimulatedDevice().time_tree(tree, DIMS, "serial")
         assert timing.n_launches == 15
-
-    def test_benchmark_point(self):
-        point = SimulatedDevice().benchmark(balanced_tree(8), DIMS, label="bal8")
-        assert isinstance(point, BenchmarkPoint)
-        assert point.label == "bal8"
-        assert point.n_launches == 3
-        assert point.speedup_vs_serial > 1.0
 
 
 class TestPaperShapes:
@@ -139,14 +132,17 @@ class TestPaperShapes:
         assert many < few
 
 
+def even_widths(n_shards):
+    """Shard widths of an even cut of ``DIMS``' pattern axis."""
+    return [s.width for s in plan_shards(DIMS.patterns, n_shards)]
+
+
 class TestShardModel:
     def test_time_sharded_widths_match_plan_shards(self):
-        from repro.exec.sharding import plan_shards
-
         tree = balanced_tree(16)
         plan = make_plan(tree, "concurrent")
-        timing = SimulatedDevice(GP100).time_sharded(plan, DIMS, 4)
-        expected = tuple(s.width for s in plan_shards(DIMS.patterns, 4))
+        timing = SimulatedDevice(GP100).time_sharded(plan, DIMS, even_widths(4))
+        expected = tuple(even_widths(4))
         assert timing.shard_widths == expected
         assert timing.n_shards == 4
         assert sum(timing.shard_widths) == DIMS.patterns
@@ -158,7 +154,7 @@ class TestShardModel:
         plan = make_plan(tree, "concurrent")
         device = SimulatedDevice(GP100)
         for n in (1, 2, 4, 8):
-            timing = device.time_sharded(plan, DIMS, n)
+            timing = device.time_sharded(plan, DIMS, even_widths(n))
             assert timing.overhead >= -1e-12
             assert timing.seconds <= sum(timing.shard_seconds) + 1e-12
 
@@ -166,8 +162,8 @@ class TestShardModel:
         tree = balanced_tree(16)
         plan = make_plan(tree, "concurrent")
         device = SimulatedDevice(GP100)
-        one = device.time_sharded(plan, DIMS, 8, n_workers=1)
-        four = device.time_sharded(plan, DIMS, 8, n_workers=4)
+        one = device.time_sharded(plan, DIMS, even_widths(8), n_workers=1)
+        four = device.time_sharded(plan, DIMS, even_widths(8), n_workers=4)
         assert four.seconds < one.seconds
         assert four.speedup > one.speedup
 
@@ -175,10 +171,10 @@ class TestShardModel:
         tree = balanced_tree(16)
         plan = make_plan(tree, "concurrent")
         device = SimulatedDevice(GP100)
-        curve = device.shard_scaling_curve(plan, DIMS, [1, 2, 4, 8, 16])
-        counts = [n for n, _ in curve]
-        rates = [r for _, r in curve]
-        assert counts == [1, 2, 4, 8, 16]
+        rates = []
+        for n in (1, 2, 4, 8, 16):
+            timing = device.time_sharded(plan, DIMS, even_widths(n), n_workers=n)
+            rates.append(DIMS.patterns / timing.seconds)
         assert all(r > 0 for r in rates)
         # One worker per shard: throughput must not degrade as shards
         # are added (launch overhead is hidden by parallel workers).
@@ -282,7 +278,7 @@ class TestPadPricing:
         device = SimulatedDevice(GP100)
         with pytest.raises(ValueError, match="kernel"):
             device.time_coalesced(
-                [[2]] * 2, DIMS, mechanism="streams", member_patterns=[64, 64]
+                [[2]] * 2, DIMS, n_streams=4, member_patterns=[64, 64]
             )
         with pytest.raises(ValueError, match="one pattern count per member"):
             device.time_coalesced([[2]] * 2, DIMS, member_patterns=[64])

@@ -1,4 +1,4 @@
-"""Unit tests for the streams-based execution model."""
+"""Unit tests for the streams mechanism of the launch-pricing model."""
 
 from __future__ import annotations
 
@@ -6,45 +6,48 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gpu import (
-    GP100,
-    WorkloadDims,
-    launch_time,
-    streams_set_time,
-    streams_time_set_sizes,
-    time_set_sizes,
-)
+from repro.gpu import GP100, WorkloadDims, price_launches, time_set_sizes
 
 DIMS = WorkloadDims(patterns=512, states=4)
 
 
+def stream_round(k, n_streams):
+    """One set of ``k`` operations issued through ``n_streams`` streams."""
+    return price_launches(GP100, [[(k, DIMS)]], n_streams).launches[0]
+
+
+def streams_timing(sizes, n_streams):
+    """One stream round per set size."""
+    return price_launches(GP100, [[(k, DIMS)] for k in sizes], n_streams)
+
+
 class TestStreamsSetTime:
     def test_single_op_close_to_launch(self):
-        s = streams_set_time(GP100, DIMS, 1, 4)
-        m = launch_time(GP100, DIMS, 1)
+        s = stream_round(1, 4)
+        m = time_set_sizes(GP100, DIMS, [1]).launches[0]
         # One op: stream and multi-op costs are of the same order.
         assert 0.5 < s.seconds / m.seconds < 2.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            streams_set_time(GP100, DIMS, 0, 4)
+            stream_round(0, 4)
         with pytest.raises(ValueError):
-            streams_set_time(GP100, DIMS, 4, 0)
+            stream_round(4, -1)
 
     @given(st.integers(1, 100), st.integers(1, 16))
     def test_monotone_in_ops(self, k, streams):
-        a = streams_set_time(GP100, DIMS, k, streams).seconds
-        b = streams_set_time(GP100, DIMS, k + 1, streams).seconds
+        a = stream_round(k, streams).seconds
+        b = stream_round(k + 1, streams).seconds
         assert b >= a - 1e-15
 
     @given(st.integers(2, 64), st.integers(1, 8))
     def test_more_streams_never_slower(self, k, streams):
-        fewer = streams_set_time(GP100, DIMS, k, streams).seconds
-        more = streams_set_time(GP100, DIMS, k, streams * 2).seconds
+        fewer = stream_round(k, streams).seconds
+        more = stream_round(k, streams * 2).seconds
         assert more <= fewer + 1e-15
 
     def test_flops_match(self):
-        s = streams_set_time(GP100, DIMS, 8, 4)
+        s = stream_round(8, 4)
         assert s.flops == 8 * DIMS.flops_per_operation
 
 
@@ -55,7 +58,7 @@ class TestStreamsVsMultiOp:
     @given(st.lists(st.integers(1, 64), min_size=1, max_size=40))
     def test_multiop_wins_or_ties(self, sizes):
         multi = time_set_sizes(GP100, DIMS, sizes)
-        stream = streams_time_set_sizes(GP100, DIMS, sizes, n_streams=4)
+        stream = streams_timing(sizes, 4)
         assert multi.seconds <= stream.seconds + 1e-15
 
     def test_streams_still_beat_serial(self):
@@ -63,18 +66,18 @@ class TestStreamsVsMultiOp:
         # for a balanced schedule.
         sizes = [32, 16, 8, 4, 2, 1]
         serial = time_set_sizes(GP100, DIMS, [1] * 63)
-        stream = streams_time_set_sizes(GP100, DIMS, sizes, n_streams=8)
+        stream = streams_timing(sizes, 8)
         assert stream.seconds < serial.seconds
 
     def test_multiop_advantage_grows_with_set_size(self):
         # Streams are host-issue-bound: the bigger the set, the more the
         # serial issue loop costs relative to one multi-op launch.
         small_gap = (
-            streams_time_set_sizes(GP100, DIMS, [2] * 10, 4).seconds
+            streams_timing([2] * 10, 4).seconds
             / time_set_sizes(GP100, DIMS, [2] * 10).seconds
         )
         large_gap = (
-            streams_time_set_sizes(GP100, DIMS, [64] * 10, 4).seconds
+            streams_timing([64] * 10, 4).seconds
             / time_set_sizes(GP100, DIMS, [64] * 10).seconds
         )
         assert large_gap > small_gap >= 1.0

@@ -143,9 +143,11 @@ class TestLaunchSchedule:
     def test_curve_trades_latency_for_throughput(self):
         device = SimulatedDevice()
         dims = WorkloadDims(patterns=128, states=4, categories=1)
-        curve = device.coalescing_curve([4, 2, 1], dims, [1, 4, 16])
-        throughputs = [point[1] for point in curve]
-        latencies = [point[2] for point in curve]
+        latencies = [
+            device.time_coalesced([[4, 2, 1]] * width, dims).coalesced_seconds
+            for width in (1, 4, 16)
+        ]
+        throughputs = [w / s for w, s in zip((1, 4, 16), latencies)]
         assert throughputs == sorted(throughputs)  # aggregate rises
         assert latencies == sorted(latencies)  # per-request pays
 
