@@ -61,13 +61,21 @@ def run_baseline(instance, plan):
     — the call path as it was before instrumentation.
     """
     instance.invalidate_partials()
+    first = instance.tip_count
+    end = first + instance.partials_buffer_count
     for op_set in plan.operation_sets:
         ops = list(op_set)
         if not ops:
             continue
         if not operations_independent(ops):
             raise ValueError("operation set contains internal dependencies")
-        instance._run_operation_set(ops, len(ops))
+        for op in ops:
+            if not first <= op.destination < end:
+                raise IndexError(f"destination buffer {op.destination} out of range")
+        instance.backend.update_partials_batch(instance, ops)
+        instance.stats.kernel_launches += 1
+        instance.stats.operations += len(ops)
+        instance.stats.flops += len(ops) * instance.flops_per_operation
     return instance.calculate_root_log_likelihood(plan.root_buffer)
 
 

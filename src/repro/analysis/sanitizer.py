@@ -14,9 +14,9 @@ paired.
 The sanitizer is **off by default** and adds zero overhead when off —
 nothing wraps the engine unless ``sanitize=`` / ``--sanitize`` asks for
 it. When on, :class:`SanitizedInstance` intercepts the engine's public
-execution surface (``update_partials_set``, ``update_partials_serial``,
-``invalidate_partials``, ``update_transition_matrices``, the scale bank,
-and the likelihood reductions), records footprints, and delegates —
+execution surface (``update_partials_set``, ``invalidate_partials``,
+``update_transition_matrices``, the scale bank, and the likelihood
+reductions), records footprints, and delegates —
 results are bit-identical with and without the wrapper.
 
 Offender pairs are reported as :class:`RaceReport` values (buffer index,
@@ -344,11 +344,6 @@ class SanitizedInstance:
         """Record the set's footprints, then launch it on the engine."""
         self._record_operations(operations)
         self._inner.update_partials_set(operations)
-
-    def update_partials_serial(self, operations: Sequence[Operation]) -> None:
-        """Record the operations' footprints, then run them serially."""
-        self._record_operations(operations)
-        self._inner.update_partials_serial(operations)
 
     def update_transition_matrices(
         self,

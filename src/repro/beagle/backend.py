@@ -10,11 +10,9 @@ contract. This module is that contract for the NumPy work-alike. A
 * workspace/arena allocation (:meth:`KernelBackend.create_workspace`),
 * transition-matrix materialization
   (:meth:`KernelBackend.materialize_matrices`),
-* batched partials evaluation (:meth:`KernelBackend.update_partials_batch`),
-* single-operation partials evaluation
-  (:meth:`KernelBackend.update_partials_single`),
-* batched *upper*-partials evaluation — the pre-order pass of the
-  all-branch gradient sweep (:meth:`KernelBackend.update_upper_partials`),
+* operation-set partials evaluation
+  (:meth:`KernelBackend.update_partials_batch`) — every partials launch,
+  post-order or pre-order (upper partials), one operation or many,
 * rescaling (:meth:`KernelBackend.rescale`) and the root reduction
   (:meth:`KernelBackend.root_reduce`).
 
@@ -144,37 +142,15 @@ class KernelBackend(Protocol):
     ) -> None:
         """Execute one validated, independent operation set.
 
-        The engine has already checked set independence and non-
-        emptiness. The backend must compute every destination partials
-        buffer, apply per-operation rescaling for operations carrying a
+        The engine has already checked set independence, non-emptiness
+        and that every destination lies in the slot range the launch may
+        write (lower buffers for post-order sets, upper buffers for
+        pre-order ones). Children may be tips, lower or upper buffers.
+        The backend must compute every destination partials buffer,
+        apply per-operation rescaling for operations carrying a
         ``destination_scale``, and mark destinations valid — the
-        semantics of one BEAGLE multi-operation kernel launch.
-        """
-        ...
-
-    def update_partials_single(
-        self, instance: "BeagleInstance", operation: "Operation"
-    ) -> None:
-        """Execute one operation as its own launch (serial path).
-
-        Same duties as :meth:`update_partials_batch` for a one-operation
-        set — destination, rescaling, validity flag — and the same bits.
-        """
-        ...
-
-    def update_upper_partials(
-        self, instance: "BeagleInstance", operations: List["Operation"]
-    ) -> None:
-        """Execute one validated, independent *upper*-partial set.
-
-        The pre-order twin of :meth:`update_partials_batch`: each
-        operation reads a sibling's lower buffer (``child1``) and the
-        parent's upper buffer (``child2``, index ``≥ instance.upper_base``)
-        and writes the destination into the instance's upper bank. Upper
-        operations never rescale — the gradient sweep runs unscaled, like
-        the per-edge rerooted derivative oracle it must match bit for
-        bit. The engine has already checked set independence, non-
-        emptiness, and that the upper bank is enabled.
+        semantics of one BEAGLE multi-operation kernel launch. A
+        one-operation set is the serial baseline launch.
         """
         ...
 

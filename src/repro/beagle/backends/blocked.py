@@ -39,7 +39,7 @@ from ...obs import get_recorder
 from ...obs.profile import PHASE_PARTIALS, PHASE_SCALING
 from ..backend import BackendInfo
 from .reference import ReferenceBackend
-from .setexec import execute_operation_block, execute_upper_block, upper_slots
+from .setexec import execute_operation_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..instance import BeagleInstance
@@ -88,28 +88,9 @@ def tile_size(instance: "BeagleInstance") -> int:
     return min(max(_fits(per_pattern), _MIN_TILE), instance.pattern_count)
 
 
-def _in_blocks(
-    instance: "BeagleInstance", operations: List["Operation"], execute
-) -> None:
-    """Run the set executor ``execute`` over consecutive blocks through a
-    block-sized arena."""
-    k, block, ws = len(operations), block_size(instance), instance.workspace
-    ws.ensure(min(k, block))
-    for lo in range(0, k, block):
-        execute(instance, ws, operations, lo, min(lo + block, k))
-
-
-def _times(partials: np.ndarray, matrices: np.ndarray):
-    """``partials @ Pᵀ`` per pattern range, against the contiguous ``Pᵀ``
-    copy the set executor multiplies by (BLAS may order the sums of a
-    transposed view differently)."""
-    matrices_T = np.ascontiguousarray(matrices.transpose(0, 2, 1))
-    return lambda p0, p1: partials[:, p0:p1] @ matrices_T
-
-
-def _lower(instance: "BeagleInstance", buffer_index: int, matrix_index: int):
-    """One lower-bank child's contribution as a function of the pattern
-    range, computed exactly as the set executor computes it."""
+def _child(instance: "BeagleInstance", buffer_index: int, matrix_index: int):
+    """One child's contribution as a function of the pattern range,
+    computed exactly as the set executor computes it."""
     partials, codes = instance._child_arrays(buffer_index)
     matrices = instance._matrices[matrix_index]
     if codes is not None:
@@ -124,7 +105,11 @@ def _lower(instance: "BeagleInstance", buffer_index: int, matrix_index: int):
         # product against the transposed view, sliced per tile.
         full = partials @ matrices.transpose(0, 2, 1)
         return lambda p0, p1: full[:, p0:p1]
-    return _times(partials, matrices)
+    # Internal buffers, lower or upper: against the contiguous Pᵀ copy
+    # the set executor multiplies by (BLAS may order the sums of a
+    # transposed view differently).
+    matrices_T = np.ascontiguousarray(matrices.transpose(0, 2, 1))
+    return lambda p0, p1: partials[:, p0:p1] @ matrices_T
 
 
 def _tiled_product(
@@ -158,42 +143,26 @@ class BlockedNumpyBackend(ReferenceBackend):
         self, instance: "BeagleInstance", operations: List["Operation"]
     ) -> None:
         """Narrow sets pattern-tiled, wide sets batch-axis blocked."""
-        if len(operations) >= NARROW_SET:
-            _in_blocks(instance, operations, execute_operation_block)
+        k = len(operations)
+        if k >= NARROW_SET:
+            block, ws = block_size(instance), instance.workspace
+            ws.ensure(min(k, block))
+            for lo in range(0, k, block):
+                hi = min(lo + block, k)
+                execute_operation_block(instance, ws, operations, lo, hi)
             return
         for op in operations:
-            slot = instance._internal_slot(op.destination)
+            slot = op.destination - instance.tip_count
             out = instance._partials[slot]
             with get_recorder().phase(PHASE_PARTIALS):
                 _tiled_product(
                     instance,
                     out,
-                    _lower(instance, op.child1, op.child1_matrix),
-                    _lower(instance, op.child2, op.child2_matrix),
+                    _child(instance, op.child1, op.child1_matrix),
+                    _child(instance, op.child2, op.child2_matrix),
                 )
             if op.destination_scale >= 0:
                 with get_recorder().phase(PHASE_SCALING):
                     logs = self.rescale(out, instance.workspace)
                     instance.scale.write(op.destination_scale, logs)
             instance._partials_valid[slot] = True
-
-    def update_upper_partials(
-        self, instance: "BeagleInstance", operations: List["Operation"]
-    ) -> None:
-        """Pre-order twin: narrow upper sets pattern-tiled as well."""
-        if len(operations) >= NARROW_SET:
-            _in_blocks(instance, operations, execute_upper_block)
-            return
-        upper, upper_valid = instance._upper, instance._upper_valid
-        assert upper is not None and upper_valid is not None
-        for op in operations:
-            parent, dest = upper_slots(instance, op)
-            with get_recorder().phase(PHASE_PARTIALS):
-                _tiled_product(
-                    instance,
-                    upper[dest],
-                    _lower(instance, op.child1, op.child1_matrix),
-                    _times(upper[parent], instance._matrices[op.child2_matrix]),
-                )
-            upper_valid[dest] = True
-

@@ -18,7 +18,7 @@ from ...models.eigen import transition_matrices
 from ..backend import BackendInfo
 from ..kernels import rescale_partials, root_site_likelihoods
 from ..workspace import Workspace
-from .setexec import execute_operation_block, execute_upper_block
+from .setexec import execute_operation_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...models.eigen import EigenDecomposition
@@ -67,24 +67,6 @@ class ReferenceBackend:
         ws = instance.workspace
         ws.ensure(k)
         execute_operation_block(instance, ws, operations, 0, k)
-
-    def update_partials_single(
-        self, instance: "BeagleInstance", operation: "Operation"
-    ) -> None:
-        """One operation as a one-row arena block: the set path's exact
-        arithmetic, so serial and batched launches agree to the bit."""
-        ws = instance.workspace
-        ws.ensure(1)
-        execute_operation_block(instance, ws, [operation], 0, 1)
-
-    def update_upper_partials(
-        self, instance: "BeagleInstance", operations: List["Operation"]
-    ) -> None:
-        """Evaluate one pre-order upper set as a single arena block."""
-        k = len(operations)
-        ws = instance.workspace
-        ws.ensure(k)
-        execute_upper_block(instance, ws, operations, 0, k)
 
     def rescale(
         self, partials: np.ndarray, workspace: Optional[Workspace] = None

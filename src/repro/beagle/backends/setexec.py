@@ -3,7 +3,9 @@
 :func:`execute_operation_block` evaluates the slice ``ops[lo:hi]`` of an
 independent operation set through a :class:`~repro.beagle.workspace.Workspace`
 arena — classification, gathers, batched matmuls, the contribution
-product, one stacked rescale and the destination scatter. The
+product, one stacked rescale and the destination scatter. Post-order
+and pre-order (upper-partial) sets run through it alike: an upper
+buffer is an ordinary internal buffer of the one partials bank. The
 reference backend runs one block covering the whole set; the blocked
 backend partitions wide sets into cache-sized blocks and loops.
 
@@ -33,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..operations import Operation
     from ..workspace import Workspace
 
-__all__ = ["execute_operation_block", "execute_upper_block", "upper_slots"]
+__all__ = ["execute_operation_block"]
 
 
 def _classify(
@@ -142,21 +144,6 @@ def _contributions(
         )
 
 
-def upper_slots(instance: "BeagleInstance", op: "Operation") -> Tuple[int, int]:
-    """Validated upper-bank slots ``(parent, destination)`` of one
-    upper-partial operation."""
-    upper, base = instance._upper, instance.upper_base
-    assert upper is not None and instance._upper_valid is not None
-    parent, dest = op.child2 - base, op.destination - base
-    if not 0 <= parent < upper.shape[0]:
-        raise IndexError(f"upper buffer {op.child2} out of range")
-    if not instance._upper_valid[parent]:
-        raise ValueError(f"upper buffer {op.child2} read before being computed")
-    if not 0 <= dest < upper.shape[0]:
-        raise IndexError(f"upper destination {op.destination} out of range")
-    return parent, dest
-
-
 def execute_operation_block(
     instance: "BeagleInstance",
     ws: "Workspace",
@@ -167,12 +154,13 @@ def execute_operation_block(
     """Evaluate operations ``ops[lo:hi]`` through the arena ``ws``.
 
     The caller must have sized the arena (``ws.ensure(hi - lo)``) and
-    validated set independence. Child buffers are validated here (firsts
-    before seconds, matching the serial execution order), destinations
-    are written and marked valid, and operations carrying a
-    ``destination_scale`` are rescaled exactly as the serial kernel
-    rescales — so any partition of a set into blocks computes the same
-    bits as one block covering the whole set.
+    validated set independence and destinations. Child buffers, lower
+    or upper, are validated here (firsts before seconds, matching the
+    one-operation execution order), destinations are written and marked
+    valid, and operations carrying a ``destination_scale`` are rescaled
+    exactly as a one-operation launch rescales — so any partition of a
+    set into blocks computes the same bits as one block covering the
+    whole set.
     """
     nb = hi - lo
     block = ops[lo:hi]
@@ -181,10 +169,7 @@ def execute_operation_block(
         children += [(op.child2, op.child2_matrix) for op in block]
         counts = _classify(instance, ws, children)
         for i, op in enumerate(block):
-            slot = op.destination - instance.tip_count
-            if not 0 <= slot < instance.partials_buffer_count:
-                raise IndexError("destination buffer out of range")
-            ws.dest_slots[i] = slot
+            ws.dest_slots[i] = op.destination - instance.tip_count
         _contributions(instance, ws, counts)
         product = ws.contributions[:nb]
         np.multiply(product, ws.contributions[nb : 2 * nb], out=product)
@@ -205,59 +190,3 @@ def execute_operation_block(
                 instance.scale.write(block[i].destination_scale, row)
     instance._partials[ws.dest_slots[:nb]] = product
     instance._partials_valid[ws.dest_slots[:nb]] = True
-
-
-def execute_upper_block(
-    instance: "BeagleInstance",
-    ws: "Workspace",
-    ops: List["Operation"],
-    lo: int,
-    hi: int,
-) -> None:
-    """Evaluate *upper*-partial operations ``ops[lo:hi]`` through ``ws``.
-
-    The pre-order twin of :func:`execute_operation_block`: ``child1`` is
-    a sibling's lower buffer (tip codes, explicit tip partials, or
-    internal partials — the same classification), ``child2`` is always
-    the parent's upper buffer, and the destination lands in the upper
-    bank. The arithmetic per operation is exactly Eq. 1 — two child
-    contributions multiplied — so any block partition computes the same
-    bits as the serial kernel, and the results match the far-side
-    half-tree partials a per-edge rerooted post-order evaluation would
-    produce (the bit-consistency the gradient parity gate asserts).
-
-    Upper operations never rescale (``destination_scale`` is −1 by
-    construction; the gradient engine runs unscaled, like the per-edge
-    derivative oracle).
-    """
-    nb = hi - lo
-    block = ops[lo:hi]
-    upper = instance._upper
-    upper_valid = instance._upper_valid
-    assert upper is not None and upper_valid is not None
-    with get_recorder().phase(PHASE_PARTIALS):
-        # First children (lower bank): the standard classification over
-        # rows 0..nb-1.
-        counts = _classify(
-            instance, ws, [(op.child1, op.child1_matrix) for op in block]
-        )
-        # Second children (upper bank) and destinations: pure slot math.
-        for i, op in enumerate(block):
-            ws.upper_slots[i], ws.dest_slots[i] = upper_slots(instance, op)
-            ws.upper_mats[i] = op.child2_matrix
-        _contributions(instance, ws, counts)
-
-        # Parent uppers: gather, batched L @ Pᵀ into the second-child rows.
-        np.take(upper, ws.upper_slots[:nb], axis=0, out=ws.gathered[:nb])
-        np.take(
-            instance._matrices, ws.upper_mats[:nb], axis=0, out=ws.mats[:nb]
-        )
-        np.copyto(ws.mats_T[:nb], ws.mats[:nb].transpose(0, 1, 3, 2))
-        np.matmul(
-            ws.gathered[:nb], ws.mats_T[:nb], out=ws.contributions[nb : 2 * nb]
-        )
-
-        product = ws.contributions[:nb]
-        np.multiply(product, ws.contributions[nb : 2 * nb], out=product)
-    upper[ws.dest_slots[:nb]] = product
-    upper_valid[ws.dest_slots[:nb]] = True

@@ -22,11 +22,7 @@ import numpy as np
 
 from ..models.eigen import EigenDecomposition
 from ..obs import get_recorder, record_backend_info
-from ..obs.profile import (
-    PHASE_MATRICES,
-    PHASE_PARTIALS,
-    PHASE_ROOT,
-)
+from ..obs.profile import PHASE_MATRICES, PHASE_ROOT
 from .backend import KernelBackend
 from .kernels import (
     child_contribution,
@@ -141,11 +137,9 @@ class BeagleInstance:
             dtype=dtype,
         )
         self._partials_valid = np.zeros(partials_buffer_count, dtype=bool)
-        # Pre-order upper-partial bank (one slot per node, tips included);
-        # allocated lazily by enable_upper_partials() so likelihood-only
-        # instances pay nothing for the gradient engine.
-        self._upper: Optional[np.ndarray] = None
-        self._upper_valid: Optional[np.ndarray] = None
+        # Bank rows lower (post-order) launches may write; upper rows
+        # are appended by enable_upper_partials().
+        self._lower_rows = range(partials_buffer_count)
         self._matrices = np.zeros(
             (matrix_count, category_count, state_count, state_count), dtype=dtype
         )
@@ -362,7 +356,7 @@ class BeagleInstance:
 
     def _internal_slot(self, buffer_index: int) -> int:
         slot = buffer_index - self.tip_count
-        if not 0 <= slot < self.partials_buffer_count:
+        if not 0 <= slot < len(self._partials_valid):
             raise IndexError(f"partials buffer {buffer_index} out of range")
         return slot
 
@@ -396,7 +390,8 @@ class BeagleInstance:
         return np.array(partials, copy=True)
 
     def invalidate_partials(self) -> None:
-        """Mark every internal buffer as not-yet-computed."""
+        """Mark every internal buffer, upper buffers included, as
+        not-yet-computed."""
         self._partials_valid[:] = False
 
     # ------------------------------------------------------------------
@@ -413,45 +408,32 @@ class BeagleInstance:
         return self.tip_count + self.partials_buffer_count
 
     def enable_upper_partials(self) -> None:
-        """Allocate the upper-partial bank (idempotent).
+        """Grow the partials bank by one upper buffer per node (idempotent).
 
-        One ``(C, P, S)`` slot per node — tips included, because every
-        branch (tip branches too) has a far-side half-tree. Roughly
-        doubles the partials footprint, which is why the bank is opt-in.
+        Tips get a slot too, because every branch (tip branches too) has
+        a far-side half-tree. The bank is copied into one ``upper_base``
+        rows longer, keeping every lower buffer and its validity, so the
+        call is safe between evaluations; it roughly triples the partials
+        footprint, which is why it is opt-in. Afterwards the upper buffer
+        ``upper_base + i`` is an ordinary internal buffer.
         """
-        if self._upper is None:
-            n = self.upper_base
-            self._upper = np.zeros(
-                (n, self.category_count, self.pattern_count, self.state_count),
-                dtype=self.dtype,
-            )
-            self._upper_valid = np.zeros(n, dtype=bool)
+        lower = self.partials_buffer_count
+        if len(self._partials_valid) > lower:
+            return
+        size = lower + self.upper_base
+        bank = np.zeros((size,) + self._partials.shape[1:], dtype=self.dtype)
+        bank[:lower] = self._partials
+        valid = np.zeros(size, dtype=bool)
+        valid[:lower] = self._partials_valid
+        self._partials, self._partials_valid = bank, valid
 
-    def invalidate_upper_partials(self) -> None:
-        """Mark every upper-partial buffer as not-yet-computed."""
-        if self._upper_valid is not None:
-            self._upper_valid[:] = False
-
-    def _upper_slot(self, buffer_index: int) -> int:
-        """Bank slot of a global upper buffer index (range-checked)."""
-        if self._upper is None:
+    def _upper_rows(self) -> range:
+        """Bank rows of the upper buffers (raises until enabled)."""
+        if len(self._partials_valid) == self.partials_buffer_count:
             raise ValueError(
                 "upper partials not enabled; call enable_upper_partials()"
             )
-        slot = buffer_index - self.upper_base
-        if not 0 <= slot < self._upper.shape[0]:
-            raise IndexError(f"upper buffer {buffer_index} out of range")
-        return slot
-
-    def _upper_array(self, buffer_index: int) -> np.ndarray:
-        """Validated ``(C, P, S)`` view of a computed upper buffer."""
-        slot = self._upper_slot(buffer_index)
-        assert self._upper is not None and self._upper_valid is not None
-        if not self._upper_valid[slot]:
-            raise ValueError(
-                f"upper buffer {buffer_index} read before being computed"
-            )
-        return self._upper[slot]
+        return range(self.partials_buffer_count, len(self._partials_valid))
 
     def seed_upper_partials(self, destination: int, source: int) -> None:
         """Seed a root child's upper buffer from its sibling's lowers.
@@ -462,56 +444,40 @@ class BeagleInstance:
         subtree, so the seed is a copy — tip codes are expanded to dense
         one-hot partials in the instance dtype.
         """
-        slot = self._upper_slot(destination)
-        assert self._upper is not None and self._upper_valid is not None
+        slot = destination - self.tip_count
+        if slot not in self._upper_rows():
+            raise IndexError(f"upper buffer {destination} out of range")
         partials, codes = self._child_arrays(source)
         if partials is None:
-            self._upper[slot] = dense_tip_partials(
+            self._partials[slot] = dense_tip_partials(
                 codes, self.state_count, self.category_count, self.dtype
             )
         else:
-            self._upper[slot] = partials
-        self._upper_valid[slot] = True
+            self._partials[slot] = partials
+        self._partials_valid[slot] = True
 
     def upper_partials(self, node_buffer: int) -> np.ndarray:
         """Copy of a node's computed upper partials ``(C, P, S)``.
 
         ``node_buffer`` is the node's *lower* buffer index; the method
-        offsets into the upper bank itself.
+        offsets into the upper buffers itself.
         """
-        return np.array(self._upper_array(self.upper_base + node_buffer), copy=True)
+        index = self.upper_base + node_buffer
+        if index - self.tip_count not in self._upper_rows():
+            raise IndexError(f"upper buffer {index} out of range")
+        return self.get_partials(index)
 
     def update_upper_partials_set(self, operations: Sequence[Operation]) -> None:
         """Execute one independent *upper*-partial operation set.
 
-        The pre-order analogue of :meth:`update_partials_set`: each
-        operation's ``child1`` is a sibling's lower buffer, its ``child2``
-        the parent's upper buffer, and the destination an upper buffer.
-        Delegated to the backend's
-        :meth:`~repro.beagle.backend.KernelBackend.update_upper_partials`.
+        The pre-order analogue of :meth:`update_partials_set` and the same
+        launch: each operation's ``child1`` is a sibling's lower buffer,
+        its ``child2`` the parent's upper buffer, and only upper buffers
+        may be destinations.
         """
         ops = list(operations)
-        if not ops:
-            return
-        if not operations_independent(ops):
-            raise ValueError("operation set contains internal dependencies")
-        if self._upper is None:
-            raise ValueError(
-                "upper partials not enabled; call enable_upper_partials()"
-            )
-        k = len(ops)
-        obs = get_recorder()
-        if obs.enabled:
-            obs.count("repro_kernel_launches_total")
-            obs.count("repro_operations_evaluated_total", k)
-            obs.observe("repro_operations_per_set", k)
-            with obs.span("kernel.upper", category="kernel", operations=k):
-                self.backend.update_upper_partials(self, ops)
-        else:
-            self.backend.update_upper_partials(self, ops)
-        self.stats.kernel_launches += 1
-        self.stats.operations += k
-        self.stats.flops += k * self.flops_per_operation
+        if ops:
+            self._launch(ops, "kernel.upper", self._upper_rows())
 
     def enable_scaling(self, count: int) -> None:
         """Grow the scale bank to at least ``count`` buffers.
@@ -533,26 +499,12 @@ class BeagleInstance:
     # ------------------------------------------------------------------
     # Core execution (beagleUpdatePartials)
     # ------------------------------------------------------------------
-    def update_partials_serial(self, operations: Sequence[Operation]) -> None:
-        """Execute operations one per kernel launch (the baseline mode;
-        the paper's modified BEAGLE with multi-operation launches
-        disabled, §VII-C)."""
-        obs = get_recorder()
-        if obs.enabled:
-            n = len(operations)
-            obs.count("repro_kernel_launches_total", n)
-            obs.count("repro_operations_evaluated_total", n)
-            with obs.span(
-                "kernel.serial", category="kernel", operations=n
-            ), obs.phase(PHASE_PARTIALS):
-                for op in operations:
-                    self._execute_single(op)
-        else:
-            for op in operations:
-                self._execute_single(op)
-
     def update_partials_set(self, operations: Sequence[Operation]) -> None:
         """Execute one *independent* operation set as a single launch.
+
+        A one-operation set is the paper's serial baseline launch (its
+        modified BEAGLE with multi-operation launches disabled, §VII-C).
+        Only lower buffers may be destinations.
 
         Raises
         ------
@@ -561,23 +513,7 @@ class BeagleInstance:
             (scheduler) must guarantee set independence, exactly as the
             BEAGLE library requires.
         """
-        ops = list(operations)
-        if not ops:
-            return
-        if not operations_independent(ops):
-            raise ValueError("operation set contains internal dependencies")
-        k = len(ops)
-        obs = get_recorder()
-        if obs.enabled:
-            # Observability bookkeeping sits behind one branch so the
-            # disabled (null-recorder) path stays allocation-free.
-            obs.count("repro_kernel_launches_total")
-            obs.count("repro_operations_evaluated_total", k)
-            obs.observe("repro_operations_per_set", k)
-            with obs.span("kernel.batch", category="kernel", operations=k):
-                self._run_operation_set(ops, k)
-        else:
-            self._run_operation_set(ops, k)
+        self._launch(operations, "kernel.batch", self._lower_rows)
 
     @property
     def workspace(self) -> Workspace:
@@ -626,30 +562,48 @@ class BeagleInstance:
             )
         self._workspace = workspace
 
-    def _run_operation_set(self, ops: List[Operation], k: int) -> None:
-        """Body of :meth:`update_partials_set` after validation.
+    def _launch(
+        self, operations: Sequence[Operation], span: str, destinations: range
+    ) -> None:
+        """Validate one operation set and run it as one backend launch.
 
-        Delegates the launch to the instance's :attr:`backend`
+        ``destinations`` holds the bank rows the set may write. The
+        launch goes to the instance's :attr:`backend`
         (:meth:`~repro.beagle.backend.KernelBackend.update_partials_batch`)
-        and keeps the execution counters here so accounting is identical
+        and the execution counters stay here, so accounting is identical
         across backends. Every backend runs the set through the
         :class:`Workspace` arena — gathers, batched matmuls and the
         final scatter all write into preallocated buffers — so
         steady-state execution performs **zero per-set array
-        allocations** and results are bit-identical to the serial
-        kernel however operations are grouped (the contract the parity
-        gate enforces per backend; see ``docs/BACKENDS.md``).
+        allocations** and results are bit-identical however operations
+        are grouped (the contract the parity gate enforces per backend;
+        see ``docs/BACKENDS.md``).
         """
-        self.backend.update_partials_batch(self, ops)
+        ops = list(operations)
+        if not ops:
+            return
+        if not operations_independent(ops):
+            raise ValueError("operation set contains internal dependencies")
+        first = destinations.start + self.tip_count
+        end = destinations.stop + self.tip_count
+        for op in ops:
+            if not first <= op.destination < end:
+                raise IndexError(f"destination buffer {op.destination} out of range")
+        k = len(ops)
+        obs = get_recorder()
+        if obs.enabled:
+            # Observability bookkeeping sits behind one branch so the
+            # disabled (null-recorder) path stays allocation-free.
+            obs.count("repro_kernel_launches_total")
+            obs.count("repro_operations_evaluated_total", k)
+            obs.observe("repro_operations_per_set", k)
+            with obs.span(span, category="kernel", operations=k):
+                self.backend.update_partials_batch(self, ops)
+        else:
+            self.backend.update_partials_batch(self, ops)
         self.stats.kernel_launches += 1
         self.stats.operations += k
         self.stats.flops += k * self.flops_per_operation
-
-    def _execute_single(self, op: Operation) -> None:
-        self.backend.update_partials_single(self, op)
-        self.stats.kernel_launches += 1
-        self.stats.operations += 1
-        self.stats.flops += self.flops_per_operation
 
     # ------------------------------------------------------------------
     # Likelihood reductions
@@ -736,16 +690,15 @@ class BeagleInstance:
         tips = sum(a.nbytes for a in self._tip_codes.values())
         tips += sum(a.nbytes for a in self._tip_partials.values())
         tips += self._tip_codes_dense.nbytes
-        upper = int(self._upper.nbytes) if self._upper is not None else 0
+        lower = self.partials_buffer_count * self._partials[0].nbytes
         return {
-            "partials": int(self._partials.nbytes),
-            "upper_partials": upper,
+            "partials": int(lower),
+            "upper_partials": int(self._partials.nbytes - lower),
             "matrices": int(self._matrices.nbytes),
             "tips": int(tips),
             "scale": int(self.scale._logs.nbytes),
             "total": int(
                 self._partials.nbytes
-                + upper
                 + self._matrices.nbytes
                 + tips
                 + self.scale._logs.nbytes

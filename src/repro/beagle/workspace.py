@@ -66,10 +66,10 @@ class Workspace:
         #: Times the arena (re)allocated its buffers — stable in steady state.
         self.allocations = 0
         # Rescale scratch, grown separately by scale_scratch(k) so the
-        # serial and pattern-tiled paths rescale without sizing the
-        # whole arena. Logs stay in the instance dtype so every path
-        # computes exactly what the serial kernel computes; the scale
-        # bank widens to float64 on write.
+        # pattern-tiled path rescales without sizing the whole arena.
+        # Logs stay in the instance dtype so every path computes exactly
+        # what a one-operation launch computes; the scale bank widens to
+        # float64 on write.
         self._scale_capacity = 0
         self.scale_logs = np.empty((0, pattern_count), dtype=self.dtype)
         self.scale_slab = np.empty(
@@ -132,10 +132,6 @@ class Workspace:
         self.code_mats = np.empty(rows, dtype=np.int64)
         self.explicit_sel = np.empty(rows, dtype=np.int64)
         self.explicit_mats = np.empty(rows, dtype=np.int64)
-        # Upper-bank bookkeeping (pre-order pass): the second child of an
-        # upper operation is always a parent's upper buffer.
-        self.upper_slots = np.empty(rows, dtype=np.int64)
-        self.upper_mats = np.empty(rows, dtype=np.int64)
         # Destinations.
         self.dest_slots = np.empty(cap, dtype=np.int64)
         self.capacity = cap

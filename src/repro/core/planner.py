@@ -289,8 +289,10 @@ class GradientPlan:
         derivative oracle bit for bit, and the oracle runs unscaled.
     upper_operation_sets:
         Independent upper-operation groups in pre-order (parents before
-        children); each inner list is one ``update_upper_partials``
-        launch. ``2n − 4`` operations total for ``n ≥ 3`` tips.
+        children); each inner list is one
+        :meth:`~repro.beagle.instance.BeagleInstance.update_upper_partials_set`
+        launch, which runs through the same operation-set path as
+        ``post``. ``2n − 4`` operations total for ``n ≥ 3`` tips.
     seeds:
         ``(upper destination, lower source)`` copy pairs seeding the two
         root children's upper buffers.
@@ -414,8 +416,8 @@ def execute_gradient_plan(
             instance.update_transition_matrices(
                 0, [gplan.pulley_matrix], [gplan.pulley_length]
             )
+        # execute_plan invalidated the whole bank, upper buffers too.
         instance.enable_upper_partials()
-        instance.invalidate_upper_partials()
         for destination, source in gplan.seeds:
             instance.seed_upper_partials(destination, source)
         for op_set in gplan.upper_operation_sets:

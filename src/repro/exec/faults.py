@@ -30,8 +30,8 @@ Fault classes
     resilience layer checks magnitudes.
 
 :class:`FaultInjector` wraps a :class:`~repro.beagle.instance.BeagleInstance`
-(anything with its ``update_partials_*`` surface) and applies the schedule
-to each launch attempt; :class:`FaultSchedule` alone is shared with the
+(anything with its ``update_partials_set`` launch) and applies the
+schedule to each launch attempt; :class:`FaultSchedule` alone is shared with the
 device model (:meth:`repro.gpu.simulator.SimulatedDevice.time_plan_resilient`)
 so modelled timings see the same fault sequence the engine would.
 The sharded engine draws from the same spec and schedule, keyed on
@@ -299,30 +299,21 @@ class FaultInjector:
 
     # -- intercepted launch surface ------------------------------------
     def update_partials_set(self, operations) -> None:
-        """One batched launch attempt, with scheduled fault injection."""
+        """One launch attempt, with scheduled fault injection; a
+        multi-operation set draws at the batched rate."""
         ops = list(operations)
         if not ops:
             return
-        self._attempt(ops, batched=len(ops) > 1)
-
-    def update_partials_serial(self, operations) -> None:
-        """Per-operation launches: one fault decision per operation."""
-        for op in operations:
-            self._attempt([op], batched=False)
-
-    # -- mechanics -----------------------------------------------------
-    def _attempt(self, ops, *, batched: bool) -> None:
         index = self._launch_counter
         self._launch_counter += 1
-        fault = self.schedule.draw(batched=batched)
+        fault = self.schedule.draw(batched=len(ops) > 1)
         if fault in RAISED_BEFORE_EXECUTION:
             self._raise(fault, index, len(ops))
-        if batched:
-            self._inner.update_partials_set(ops)
-        else:
-            self._inner.update_partials_serial(ops)
+        self._inner.update_partials_set(ops)
         if fault in ("nan", "underflow"):
             self._poison(fault, ops)
+
+    # -- mechanics -----------------------------------------------------
 
     def _raise(self, fault: str, index: int, n_ops: int) -> None:
         if fault == "launch":
@@ -399,18 +390,9 @@ class BiasInjector:
 
     # -- intercepted launch surface ------------------------------------
     def update_partials_set(self, operations) -> None:
-        """Forward a batched launch, then corrupt the destinations."""
+        """Forward a launch, then corrupt the destinations."""
         ops = list(operations)
         self._inner.update_partials_set(ops)
-        self._corrupt(ops)
-
-    def update_partials_serial(self, operations) -> None:
-        """Forward per-operation launches, then corrupt the destinations."""
-        ops = list(operations)
-        self._inner.update_partials_serial(ops)
-        self._corrupt(ops)
-
-    def _corrupt(self, ops) -> None:
         tip_count = self._inner.tip_count
         for op in ops:
             self._inner._partials[op.destination - tip_count] *= self.factor

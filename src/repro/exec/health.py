@@ -134,14 +134,9 @@ class DeadlineGuard:
 
     # -- intercepted launch surface ------------------------------------
     def update_partials_set(self, operations) -> None:
-        """Forward one batched launch after checking the deadline."""
+        """Forward one launch after checking the deadline."""
         self.deadline.check("launch")
         self._inner.update_partials_set(operations)
-
-    def update_partials_serial(self, operations) -> None:
-        """Forward per-operation launches after checking the deadline."""
-        self.deadline.check("launch")
-        self._inner.update_partials_serial(operations)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DeadlineGuard {self.deadline!r} around {self._inner!r}>"

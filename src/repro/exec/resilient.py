@@ -327,47 +327,37 @@ class ResilientInstance:
         if not ops:
             return
         try:
-            self._launch(ops, batched=True)
-        except ExecutionError:
-            if not self._in_execute:
-                self._stats.errors += 1
-            raise
-
-    def update_partials_serial(self, operations) -> None:
-        """Per-operation launches, each with its own retry budget."""
-        try:
-            for op in operations:
-                self._launch([op], batched=False)
+            self._launch(ops)
         except ExecutionError:
             if not self._in_execute:
                 self._stats.errors += 1
             raise
 
     # -- recovery pipeline ---------------------------------------------
-    def _launch(self, ops: List[Operation], *, batched: bool) -> None:
+    def _launch(self, ops: List[Operation]) -> None:
         try:
-            self._launch_with_retries(ops, batched=batched)
+            self._launch_with_retries(ops)
         except ExecutionError as exc:
             if not exc.retryable:
                 # A spent deadline (or other terminal condition) cannot
                 # be cured by degradation — propagate immediately.
                 raise
-            if not (batched and self.policy.degrade and len(ops) > 1):
+            if not (self.policy.degrade and len(ops) > 1):
                 raise
             # Graceful degradation: the batched path keeps faulting, so
-            # run the set one operation per launch (§VII-C's baseline
+            # run the set as one-operation sets (§VII-C's baseline
             # mode), each with a fresh retry budget.
             self._stats.degraded += 1
             get_recorder().count("repro_degraded_sets_total")
             for op in ops:
-                self._launch([op], batched=False)
+                self._launch([op])
 
-    def _launch_with_retries(self, ops: List[Operation], *, batched: bool) -> None:
+    def _launch_with_retries(self, ops: List[Operation]) -> None:
         failures = 0
         underflows = 0
         while True:
             try:
-                self._attempt(ops, batched=batched)
+                self._attempt(ops)
                 return
             except (DeviceFault, AllocationError, NumericalError) as exc:
                 self._stats.note(exc)
@@ -389,11 +379,8 @@ class ResilientInstance:
                 if delay > 0.0:
                     self._sleep(delay)
 
-    def _attempt(self, ops: List[Operation], *, batched: bool) -> None:
-        if batched:
-            self._inner.update_partials_set(ops)
-        else:
-            self._inner.update_partials_serial(ops)
+    def _attempt(self, ops: List[Operation]) -> None:
+        self._inner.update_partials_set(ops)
         if self.policy.verify:
             self._verify_destinations(ops)
 

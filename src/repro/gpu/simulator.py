@@ -440,9 +440,12 @@ class SimulatedDevice:
             worker = min(candidates, key=lambda i: (available[i], i))
             schedule = schedules[worker]
             if schedule is None:
-                # Healthy worker: every job costs the clean plan time.
+                # Healthy worker: every job costs the clean plan time,
+                # priced under the same mechanism the faulty ones replay.
                 if clean_seconds is None:
-                    clean_seconds = self.time_plan(plan, dims).seconds
+                    clean_seconds = price_launches(
+                        self.spec, [[(k, dims)] for k in plan.set_sizes], n_streams
+                    ).seconds
                 elapsed, ok = clean_seconds, True
             else:
                 launches: List[LaunchTiming] = []

@@ -186,11 +186,12 @@ def _engine_bytes(backend, case, dtype, mode, scaled):
     assert blocked.tile_size(instance) < patterns.n_patterns
     if scaled:
         ll = execute_plan(instance, make_plan(tree, mode, scaling=True))
-        upper = b""
     else:
         ll = execute_gradient_plan(instance, make_gradient_plan(tree, mode))
-        upper = instance._upper[instance._upper_valid].tobytes()
-    partials = instance._partials[instance._partials_valid].tobytes()
+    # The bank holds the lower rows, then (after a sweep) the upper rows.
+    lower, valid = instance.partials_buffer_count, instance._partials_valid
+    partials = instance._partials[:lower][valid[:lower]].tobytes()
+    upper = instance._partials[lower:][valid[lower:]].tobytes()
     scales = [instance.scale.read(i).tobytes() for i in range(instance.scale.count)]
     return ll, partials, scales, upper
 
@@ -215,10 +216,9 @@ class TestBlockedMatchesReferenceByteForByte:
         assert got[3] == expected[3], "upper bank differs"
 
 
-def _launch_bytes(backend, case, dtype, launch):
+def _launch_bytes(backend, case, dtype, split):
     """Partials and scale-bank bytes after running a scaled concurrent
-    plan's sets through ``launch`` (``update_partials_set`` or
-    ``update_partials_serial``)."""
+    plan's sets whole, or each ``split`` into one-operation sets."""
     tree, model, patterns = case
     instance = create_instance(
         tree, model, patterns, rates=GAMMA, dtype=dtype, backend=backend,
@@ -227,15 +227,17 @@ def _launch_bytes(backend, case, dtype, launch):
     plan = make_plan(tree, "concurrent", scaling=True)
     instance.update_transition_matrices(0, plan.matrix_indices, plan.branch_lengths)
     for op_set in plan.operation_sets:
-        getattr(instance, launch)(op_set)
+        for launch in [[op] for op in op_set] if split else [op_set]:
+            instance.update_partials_set(launch)
     partials = instance._partials[instance._partials_valid].tobytes()
     scales = [instance.scale.read(i).tobytes() for i in range(instance.scale.count)]
     return partials, scales
 
 
 class TestSerialMatchesSetByteForByte:
-    """Per-operation launches (the degrade, injector and deadline-guard
-    path) compute exactly the bits of the batched set launch."""
+    """Each set split into one-operation sets (the serial baseline and
+    the resilience layer's degrade path; on ``blocked`` the pattern-tiled
+    narrow kernel) computes exactly the bits of the whole set."""
 
     @pytest.mark.parametrize("backend", [ReferenceBackend, BlockedNumpyBackend])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
@@ -243,8 +245,8 @@ class TestSerialMatchesSetByteForByte:
     @pytest.mark.parametrize("topology", ["pectinate", "random", "balanced"])
     def test_serial_launches_match_set_launches(self, topology, reroot, dtype, backend):
         case = _protein_case(topology, reroot)
-        batched = _launch_bytes(backend(), case, dtype, "update_partials_set")
-        serial = _launch_bytes(backend(), case, dtype, "update_partials_serial")
+        batched = _launch_bytes(backend(), case, dtype, split=False)
+        serial = _launch_bytes(backend(), case, dtype, split=True)
         assert serial[0] == batched[0], "partials differ"
         assert serial[1] == batched[1], "scale bank differs"
 
@@ -284,8 +286,6 @@ class TestDocDrift:
         "create_workspace",
         "materialize_matrices",
         "update_partials_batch",
-        "update_partials_single",
-        "update_upper_partials",
         "rescale",
         "root_reduce",
     ]

@@ -11,8 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.beagle import Operation
 from repro.beagle.resources import list_resources, resolve_backend
-from repro.core import execute_gradient_plan, make_gradient_plan
+from repro.core import (
+    execute_gradient_plan,
+    execute_plan,
+    make_gradient_plan,
+    make_plan,
+)
 from repro.core.planner import create_instance
 from repro.data import compress, simulate_alignment
 from repro.inference import DerivativeSession, canonical_edges
@@ -41,9 +47,47 @@ class TestUpperBankLifecycle:
         tree = balanced_tree(4, branch_length=0.1)
         instance = create_instance(tree, MODEL, make_patterns(tree))
         instance.enable_upper_partials()
-        bank = instance._upper
+        bank = instance._partials
         instance.enable_upper_partials()
-        assert instance._upper is bank
+        assert instance._partials is bank
+
+    def test_enable_keeps_lower_rows_and_validity(self):
+        tree = balanced_tree(4, branch_length=0.1)
+        instance = create_instance(tree, MODEL, make_patterns(tree))
+        execute_plan(instance, make_plan(tree))
+        lower = instance.partials_buffer_count
+        before = instance._partials.copy(), instance._partials_valid.copy()
+        instance.enable_upper_partials()
+        assert instance._partials.shape[0] == lower + instance.upper_base
+        assert instance._partials[:lower].tobytes() == before[0].tobytes()
+        assert np.array_equal(instance._partials_valid[:lower], before[1])
+        assert not instance._partials_valid[lower:].any()
+
+    def test_lower_launch_cannot_write_upper_buffer(self):
+        tree = balanced_tree(4, branch_length=0.1)
+        instance = create_instance(tree, MODEL, make_patterns(tree))
+        instance.update_transition_matrices(0, [0, 1], [0.1, 0.1])
+        instance.enable_upper_partials()
+        with pytest.raises(IndexError, match="out of range"):
+            instance.update_partials_set([Operation(instance.upper_base, 0, 0, 1, 1)])
+
+    def test_upper_launch_cannot_write_lower_buffer(self):
+        tree = balanced_tree(4, branch_length=0.1)
+        instance = create_instance(tree, MODEL, make_patterns(tree))
+        instance.enable_upper_partials()
+        with pytest.raises(IndexError, match="out of range"):
+            instance.update_upper_partials_set(
+                [Operation(instance.tip_count, 0, 0, 1, 1)]
+            )
+
+    def test_seed_outside_upper_buffers_raises(self):
+        tree = balanced_tree(4, branch_length=0.1)
+        instance = create_instance(tree, MODEL, make_patterns(tree))
+        with pytest.raises(ValueError, match="not enabled"):
+            instance.seed_upper_partials(instance.upper_base, 0)
+        instance.enable_upper_partials()
+        with pytest.raises(IndexError, match="out of range"):
+            instance.seed_upper_partials(instance.tip_count, 0)
 
     def test_read_before_enable_raises(self):
         tree = balanced_tree(4, branch_length=0.1)
@@ -70,7 +114,7 @@ class TestUpperBankLifecycle:
         patterns = make_patterns(tree)
         instance = sweep_instance(tree, patterns)
         instance.upper_partials(0)  # computed
-        instance.invalidate_upper_partials()
+        instance.invalidate_partials()
         with pytest.raises(ValueError, match="read before being computed"):
             instance.upper_partials(0)
 

@@ -103,6 +103,18 @@ class TestPoolModelMechanisms:
         assert timing.seconds > 0
         assert timing.throughput > 0
 
+    @pytest.mark.parametrize("n_streams", [0, 4])
+    def test_healthy_workers_priced_under_the_pool_mechanism(self, device, n_streams):
+        # A clean worker's job costs one fault-free evaluation under the
+        # same mechanism its faulty neighbours replay.
+        plan = make_plan(balanced_tree(32), "concurrent")
+        dims = WorkloadDims(patterns=512)
+        job = price_launches(
+            GP100, [[(k, dims)] for k in plan.set_sizes], n_streams
+        ).seconds
+        timing = device.time_pool(plan, dims, 4, 4, n_streams=n_streams)
+        assert timing.busy_seconds == (job,) * 4
+
     def test_degraded_fleet_curve_monotone_both_mechanisms(self, device, plan):
         for n_streams in (0, 4):
             curve = device.degraded_fleet_curve(

@@ -10,10 +10,7 @@ blocks computes the same bits as one block covering the whole set.
 from __future__ import annotations
 
 from repro.beagle import ReferenceBackend
-from repro.beagle.backends.setexec import (
-    execute_operation_block,
-    execute_upper_block,
-)
+from repro.beagle.backends.setexec import execute_operation_block
 
 __all__ = ["FixedBlockBackend"]
 
@@ -24,14 +21,10 @@ class FixedBlockBackend(ReferenceBackend):
     def __init__(self, block: int) -> None:
         self.block = block
 
-    def _run(self, instance, operations, execute) -> None:
+    def update_partials_batch(self, instance, operations) -> None:
         k, ws = len(operations), instance.workspace
         ws.ensure(min(k, self.block))
         for lo in range(0, k, self.block):
-            execute(instance, ws, operations, lo, min(lo + self.block, k))
-
-    def update_partials_batch(self, instance, operations) -> None:
-        self._run(instance, operations, execute_operation_block)
-
-    def update_upper_partials(self, instance, operations) -> None:
-        self._run(instance, operations, execute_upper_block)
+            execute_operation_block(
+                instance, ws, operations, lo, min(lo + self.block, k)
+            )
