@@ -1,18 +1,20 @@
-"""Backend matrix: the acceptance runs of every registered kernel backend.
+"""Backend matrix: the acceptance runs of the cache-blocked NumPy engine.
 
-The pluggable-backend layer is only worth its indirection if (a) every
-registered backend honours its parity class on the acceptance
-configurations, and (b) the non-reference backend is measurably faster
-in both set-width regimes. This benchmark runs two 256-taxon cases
-through every registered backend and asserts the parity gate:
+The engine cuts each operation set into cache-sized pieces; that is only
+worth its code if it keeps every bit and is measurably faster than
+running each set as one block, in both set-width regimes. This benchmark
+runs two 256-taxon cases through the registered backend and through
+``FixedBlockBackend()`` (one block covering each whole set, the
+arithmetic before any tiling) and asserts:
 
-* balanced / 1024 patterns, the wide-set regime, where the blocked
-  backend's batch-axis blocks must reach >= 1.2x the reference;
-* pectinate / 64 patterns, the narrow-set regime, where its pattern
+* equal log-likelihoods on both cases, bit for bit;
+* balanced / 1024 patterns, the wide-set regime, where the batch-axis
+  blocks must reach >= 1.2x the one-block run;
+* pectinate / 64 patterns, the narrow-set regime, where the pattern
   tiles must reach >= 1.5x.
 
-It also calibrates a :class:`~repro.gpu.device.DeviceSpec` from each
-backend's measured launch timings on the balanced case, so the GPU
+It also calibrates a :class:`~repro.gpu.device.DeviceSpec` from the
+engine's measured launch timings on the balanced case, so the GPU
 simulator can price schedules off real numbers
 (``repro.gpu.calibrate.fit_device_spec``).
 
@@ -27,23 +29,26 @@ import numpy as np
 import pytest
 from conftest import emit
 
-from repro.beagle import acquire, available_resources, parity_report
+from repro.beagle import acquire, available_resources
 from repro.bench import format_table
 from repro.bench.harness import build_tree
 from repro.core import create_instance, execute_plan, make_plan
 from repro.data import random_patterns
 from repro.gpu import WorkloadDims, fit_device_spec, time_set_sizes
 from repro.models import random_gtr
+from tests.partitioned import FixedBlockBackend
 
 TAXA = 256
 SEED = 1
 
-#: (topology, patterns, minimum blocked-over-reference speedup). The
+#: (topology, patterns, minimum engine-over-one-block speedup). The
 #: balanced tree has the widest operation sets (128 ops at the first
 #: level), where blocking along the batch axis matters; the pectinate
 #: tree has one or two operations per set, where only pattern tiles can
 #: cut the working set.
 CASES = [("balanced", 1024, 1.2), ("pectinate", 64, 1.5)]
+
+ONE_BLOCK = "one block"
 
 
 def acceptance_case(topology, sites):
@@ -55,8 +60,8 @@ def acceptance_case(topology, sites):
 
 
 def measure_interleaved(cases, plan, rounds=9):
-    """Best-of timing per backend, alternating backends each round so
-    thermal/scheduler drift hits every backend equally."""
+    """Best-of timing per kernel, alternating kernels each round so
+    thermal/scheduler drift hits every kernel equally."""
     best = {name: float("inf") for name in cases}
     for _ in range(rounds):
         for name, instance in cases.items():
@@ -67,42 +72,37 @@ def measure_interleaved(cases, plan, rounds=9):
 
 
 def test_backend_matrix(benchmark, results_dir):
-    names = available_resources()
-    assert names == ["reference", "blocked"]
-    reports = {name: parity_report(name) for name in names}
-    for report in reports.values():
-        assert report.ok, report.format()
+    assert available_resources() == ["blocked"]
+    engine = acquire("blocked")
+    kernels = {ONE_BLOCK: FixedBlockBackend(), engine.info.name: engine}
 
     rows = []
     for topology, sites, gate in CASES:
         tree, model, patterns = acceptance_case(topology, sites)
         plan = make_plan(tree, "concurrent")
         loglik, cases = {}, {}
-        for name in names:
+        for name, backend in kernels.items():
             instance = cases[name] = create_instance(
-                tree, model, patterns, backend=name
+                tree, model, patterns, backend=backend
             )
             loglik[name] = execute_plan(instance, plan)  # warm-up; validates
         timings = measure_interleaved(cases, plan)
-        for name in names:
-            backend, report = acquire(name), reports[name]
+        for name in kernels:
             rows.append(
                 {
                     "case": f"{topology}/{sites}",
-                    "backend": name,
-                    "parity claim": backend.info.parity,
-                    "parity gate": "OK" if report.ok else "VIOLATED",
-                    "max |dlogL|": f"{report.max_delta:.1e}",
+                    "kernel": name,
+                    "parity claim": engine.info.parity,
+                    "logL == one block": loglik[name] == loglik[ONE_BLOCK],
                     "ms/eval": f"{timings[name] * 1e3:.2f}",
-                    "speedup": f"{timings['reference'] / timings[name]:.2f}x",
+                    "speedup": f"{timings[ONE_BLOCK] / timings[name]:.2f}x",
                 }
             )
-            # Same-dtype NumPy variants must also match on the acceptance
-            # configs themselves, not just the parity battery's smaller
+            # Tiles and blocks must keep every bit on the acceptance
+            # configurations themselves, not only the suites' smaller
             # cases.
-            if backend.info.parity == "bit-identical":
-                assert loglik[name] == loglik["reference"]
-        speedup = timings["reference"] / timings["blocked"]
+            assert loglik[name] == loglik[ONE_BLOCK]
+        speedup = timings[ONE_BLOCK] / timings[engine.info.name]
         assert speedup >= gate, (
             f"blocked speedup {speedup:.2f}x on {topology}/{sites} below "
             f"the {gate}x gate"
@@ -110,45 +110,44 @@ def test_backend_matrix(benchmark, results_dir):
 
     tree, model, patterns = acceptance_case("balanced", 1024)
     plan = make_plan(tree, "concurrent")
-    # Calibrate a DeviceSpec per backend from measured per-set timings:
-    # the launch-cost line t = a + b*k fitted over single-launch probes.
+    # Calibrate a DeviceSpec from measured per-set timings: the
+    # launch-cost line t = a + b*k fitted over single-launch probes.
     dims = WorkloadDims(patterns.n_patterns, model.n_states, 1)
-    calib_rows = []
-    for name in names:
-        instance = create_instance(tree, model, patterns, backend=name)
-        execute_plan(instance, plan)  # warm buffers and matrices
-        samples = []
-        for op_set in plan.operation_sets:
-            k = len(op_set)
-            best = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                instance.update_partials_set(op_set)
-                best = min(best, time.perf_counter() - start)
-            samples.append((k, best))
-        spec = fit_device_spec(f"measured:{name}", dims, samples)
-        widest = max(k for k, _ in samples)
-        modelled = time_set_sizes(spec, dims, [widest]).seconds
-        measured = min(t for k, t in samples if k == widest)
-        calib_rows.append(
-            {
-                "backend": name,
-                "launch overhead (us)": f"{spec.launch_overhead_s * 1e6:.1f}",
-                "per-op slope (us)": f"{spec.wave_time_s * 1e6:.2f}",
-                f"model@k={widest} (us)": f"{modelled * 1e6:.1f}",
-                f"measured@k={widest} (us)": f"{measured * 1e6:.1f}",
-            }
-        )
-        # The calibrated spec must price the measured points sanely.
-        assert modelled == pytest.approx(measured, rel=0.5)
+    instance = create_instance(tree, model, patterns, backend=engine)
+    execute_plan(instance, plan)  # warm buffers and matrices
+    samples = []
+    for op_set in plan.operation_sets:
+        k = len(op_set)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            instance.update_partials_set(op_set)
+            best = min(best, time.perf_counter() - start)
+        samples.append((k, best))
+    spec = fit_device_spec(f"measured:{engine.info.name}", dims, samples)
+    widest = max(k for k, _ in samples)
+    modelled = time_set_sizes(spec, dims, [widest]).seconds
+    measured = min(t for k, t in samples if k == widest)
+    calib_rows = [
+        {
+            "backend": engine.info.name,
+            "launch overhead (us)": f"{spec.launch_overhead_s * 1e6:.1f}",
+            "per-op slope (us)": f"{spec.wave_time_s * 1e6:.2f}",
+            f"model@k={widest} (us)": f"{modelled * 1e6:.1f}",
+            f"measured@k={widest} (us)": f"{measured * 1e6:.1f}",
+        }
+    ]
+    # The calibrated spec must price the measured points sanely.
+    assert modelled == pytest.approx(measured, rel=0.5)
 
-    text = format_table(rows, title=f"Backend matrix: {TAXA}-OTU trees")
+    text = format_table(
+        rows, title=f"Backend matrix: {TAXA}-OTU trees, engine vs one block"
+    )
     text += "\n" + format_table(
         calib_rows,
-        title="Calibrated DeviceSpec per backend (t = a + b*k fit, balanced/1024)",
+        title="Calibrated DeviceSpec (t = a + b*k fit, balanced/1024)",
     )
     emit(results_dir, "backend_matrix.md", text)
 
-    instance = create_instance(tree, model, patterns, backend="blocked")
     execute_plan(instance, plan)
     benchmark(execute_plan, instance, plan, update_matrices=False)

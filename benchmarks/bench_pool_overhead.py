@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import emit
+from conftest import emit, interleaved_best
 
 from repro.bench import format_table
 from repro.core import create_instance, execute_plan, make_plan
@@ -62,25 +62,20 @@ def setup_case():
 
 
 def measure_serial(make_case):
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        values = [execute_plan(*make_case()) for _ in range(N_JOBS)]
-        best = min(best, time.perf_counter() - start)
-    return best, values
+    start = time.perf_counter()
+    values = [execute_plan(*make_case()) for _ in range(N_JOBS)]
+    return time.perf_counter() - start, values
 
 
 def measure_pool(make_case, **pool_kwargs):
-    best = float("inf")
-    for _ in range(REPEATS):
-        pool = LikelihoodPool(N_WORKERS, executor="inline", **pool_kwargs)
-        start = time.perf_counter()
-        for rep in range(N_JOBS):
-            pool.submit_case(make_case, label=f"rep-{rep}")
-        outcomes = pool.drain()
-        best = min(best, time.perf_counter() - start)
-        assert pool.stats().balances()
-    return best, [outcome.value for outcome in outcomes]
+    pool = LikelihoodPool(N_WORKERS, executor="inline", **pool_kwargs)
+    start = time.perf_counter()
+    for rep in range(N_JOBS):
+        pool.submit_case(make_case, label=f"rep-{rep}")
+    outcomes = pool.drain()
+    seconds = time.perf_counter() - start
+    assert pool.stats().balances()
+    return seconds, [outcome.value for outcome in outcomes]
 
 
 def test_fault_free_dispatch_overhead_under_five_percent(
@@ -88,14 +83,24 @@ def test_fault_free_dispatch_overhead_under_five_percent(
 ):
     make_case, reference = setup_case()
 
-    t_serial, serial_values = measure_serial(make_case)
-    # Headline config: fail-fast workers — the engine path is the same
-    # bare BeagleInstance the serial loop runs, so the difference is the
-    # pool machinery itself (queue, breakers, deadline checks, audit).
-    t_pool, pool_values = measure_pool(make_case, policy=None)
-    # Priced feature: workers armed with the default retry/verify
-    # pipeline (whose own cost bench_fault_overhead bounds separately).
-    t_armed, armed_values = measure_pool(make_case)
+    best, values = interleaved_best(
+        {
+            "serial": lambda: measure_serial(make_case),
+            # Headline config: fail-fast workers — the engine path is
+            # the same bare BeagleInstance the serial loop runs, so the
+            # difference is the pool machinery itself (queue, breakers,
+            # deadline checks, audit).
+            "pool": lambda: measure_pool(make_case, policy=None),
+            # Priced feature: workers armed with the default
+            # retry/verify pipeline (whose own cost bench_fault_overhead
+            # bounds separately).
+            "armed": lambda: measure_pool(make_case),
+        },
+        REPEATS,
+    )
+    t_serial, t_pool, t_armed = best["serial"], best["pool"], best["armed"]
+    serial_values, pool_values = values["serial"], values["pool"]
+    armed_values = values["armed"]
 
     assert serial_values == [reference] * N_JOBS
     assert pool_values == [reference] * N_JOBS  # bit-identical, job by job

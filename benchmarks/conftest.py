@@ -39,3 +39,27 @@ def emit(results_dir: Path, name: str, text: str) -> None:
     (results_dir / name).write_text(text)
     print()
     print(text)
+
+
+def interleaved_best(arms, repeats):
+    """Min wall-clock seconds per arm, and each arm's last value.
+
+    ``arms`` maps a name to a callable returning ``(seconds, value)``.
+    Every repeat runs every arm once, rotating which arm goes first, so
+    a drift in machine speed lands on all arms alike instead of on
+    whichever arm a sequential measurement happened to time last. One
+    untimed round runs first: the first evaluations of a process run
+    measurably faster than the steady state, and that transient would
+    otherwise favour whichever arm is timed first.
+    """
+    names = list(arms)
+    best = dict.fromkeys(names, float("inf"))
+    values = {}
+    for name in names:
+        arms[name]()
+    for r in range(repeats):
+        shift = r % len(names)
+        for name in names[shift:] + names[:shift]:
+            seconds, values[name] = arms[name]()
+            best[name] = min(best[name], seconds)
+    return best, values

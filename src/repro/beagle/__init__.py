@@ -1,10 +1,10 @@
 """BEAGLE-work-alike likelihood engine: buffers, operations, kernels.
 
-Execution is pluggable: every instance delegates its kernel launches to
-a :class:`~repro.beagle.backend.KernelBackend` selected through the
-resource registry (:mod:`repro.beagle.resources`), and the parity gate
-(:mod:`repro.beagle.parity`) measures each registered backend against
-the reference. See ``docs/BACKENDS.md`` for the backend contract.
+Every instance delegates its kernel launches to a
+:class:`~repro.beagle.backend.KernelBackend` resolved through the
+resource registry (:mod:`repro.beagle.resources`), which lists one
+resource today, the cache-blocked NumPy engine. See ``docs/BACKENDS.md``
+for the backend contract.
 """
 
 from .operations import Operation, operations_independent, validate_operation_order
@@ -23,7 +23,7 @@ from .backend import (
     BackendInfo,
     KernelBackend,
 )
-from .backends import BlockedNumpyBackend, ReferenceBackend
+from .backends import BlockedNumpyBackend
 from .resources import (
     BACKEND_ENV_VAR,
     DEFAULT_RESOURCE,
@@ -34,7 +34,6 @@ from .resources import (
     register_resource,
     resolve_backend,
 )
-from .parity import ParityCheck, ParityReport, parity_report
 from .instance import BeagleInstance, InstanceStats
 from .reference import brute_force_log_likelihood, pruning_log_likelihood
 
@@ -54,7 +53,6 @@ __all__ = [
     "PARITY_TOLERANCE",
     "BackendInfo",
     "KernelBackend",
-    "ReferenceBackend",
     "BlockedNumpyBackend",
     "BACKEND_ENV_VAR",
     "DEFAULT_RESOURCE",
@@ -64,9 +62,6 @@ __all__ = [
     "list_resources",
     "acquire",
     "resolve_backend",
-    "ParityCheck",
-    "ParityReport",
-    "parity_report",
     "BeagleInstance",
     "InstanceStats",
     "brute_force_log_likelihood",

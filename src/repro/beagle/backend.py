@@ -19,9 +19,8 @@ contract. This module is that contract for the NumPy work-alike. A
 Everything else — buffer bookkeeping, validity tracking, scale-bank
 accumulation, statistics, observability — stays in the engine and is
 identical across backends. The formal contract (shapes, dtypes, the
-engine-view attributes a backend may touch, and the parity classes the
-gate enforces) is documented in ``docs/BACKENDS.md``; the parity gate
-itself lives in :mod:`repro.beagle.parity`.
+engine-view attributes a backend may touch, and the parity classes) is
+documented in ``docs/BACKENDS.md``.
 
 Backends are **stateless**: all mutable scratch lives in the
 :class:`~repro.beagle.workspace.Workspace` owned by the instance, so one
@@ -44,11 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BackendInfo", "KernelBackend", "PARITY_BIT_IDENTICAL", "PARITY_TOLERANCE"]
 
 #: Parity class of backends whose log-likelihoods must equal the
-#: reference backend's bit for bit (same dtype, same inputs).
+#: recorded engine's bit for bit (same dtype, same inputs; see
+#: ``tests/beagle/bank_golden.json``).
 PARITY_BIT_IDENTICAL = "bit-identical"
 
 #: Parity class of backends allowed a documented, bounded deviation
-#: (``BackendInfo.tolerance``) from the reference log-likelihood.
+#: (``BackendInfo.tolerance``) from the recorded log-likelihood.
 PARITY_TOLERANCE = "tolerance"
 
 
@@ -59,7 +59,7 @@ class BackendInfo:
     Attributes
     ----------
     name:
-        Registry key; what ``--rsrc <name>`` and ``REPRO_BACKEND``
+        Registry key; what ``REPRO_BACKEND`` and ``backend=<name>``
         select.
     description:
         One-line human summary shown by ``python -m
@@ -69,10 +69,10 @@ class BackendInfo:
         device backend would register ``"gpu"``).
     parity:
         :data:`PARITY_BIT_IDENTICAL` or :data:`PARITY_TOLERANCE` — the
-        contract class the parity gate holds the backend to.
+        contract class the backend is tested against.
     tolerance:
-        Maximum absolute log-likelihood deviation from the reference
-        backend a :data:`PARITY_TOLERANCE` backend may show. Must be
+        Maximum absolute log-likelihood deviation from the recorded
+        engine a :data:`PARITY_TOLERANCE` backend may show. Must be
         ``0.0`` for bit-identical backends.
     """
 

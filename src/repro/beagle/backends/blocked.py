@@ -1,9 +1,9 @@
-"""Cache-blocked NumPy backend: the same arithmetic, a smaller working set.
+"""The NumPy kernel backend: BEAGLE's arithmetic in cache-sized pieces.
 
-The reference backend streams a whole k-operation set through arena
-buffers of ``2k`` rows — at 256 taxa × 1024 patterns that is tens of
-megabytes touched per launch, far beyond any CPU cache level. This
-backend cuts each set along whichever axis it has:
+Streaming a whole k-operation set through arena buffers of ``2k`` rows
+touches tens of megabytes per launch at 256 taxa × 1024 patterns, far
+beyond any CPU cache level. This backend cuts each set along whichever
+axis it has:
 
 * **Wide sets** (at least :data:`NARROW_SET` operations) are partitioned
   into blocks of ``B`` operations along the batch axis, and the shared
@@ -17,31 +17,36 @@ backend cuts each set along whichever axis it has:
 Both sizes follow from the instance's row size ``C·P·S·itemsize`` and
 the one budget :data:`CACHE_BUDGET_BYTES`; nothing is configurable.
 
-Bit-identity holds on both paths: the batched GEMM is a loop of
-independent 2-D multiplies, and a pattern tile of ``L @ Pᵀ`` is a row
-partition of independent ``(S,)·(S,S)`` products (the reduction axis
-``S`` is untouched), so neither partition changes the arithmetic as
-long as every tile hands BLAS the operands in the set executor's memory
-layout and is more than one pattern wide. The tip-code path is an exact
-gather, and rescaling runs over the fully assembled destination. The
-parity suites assert the equality empirically, down to every buffer
+Bit-identity with one block covering the whole set holds on both paths:
+the batched GEMM is a loop of independent 2-D multiplies, and a pattern
+tile of ``L @ Pᵀ`` is a row partition of independent ``(S,)·(S,S)``
+products (the reduction axis ``S`` is untouched), so neither partition
+changes the arithmetic as long as every tile hands BLAS the operands in
+the set executor's memory layout and is more than one pattern wide. The
+tip-code path is an exact gather, and rescaling runs over the fully
+assembled destination. The suites assert the equality empirically, down
+to every buffer, against the one-block partition
 (``tests/beagle/test_backends.py``,
-``tests/property/test_backend_parity.py``).
+``tests/property/test_backend_parity.py``) and against the recorded
+byte golden (``tests/beagle/test_bank_golden.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
+from ...models.eigen import transition_matrices
 from ...obs import get_recorder
 from ...obs.profile import PHASE_PARTIALS, PHASE_SCALING
 from ..backend import BackendInfo
-from .reference import ReferenceBackend
+from ..kernels import rescale_partials, root_site_likelihoods
+from ..workspace import Workspace
 from .setexec import execute_operation_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...models.eigen import EigenDecomposition
     from ..instance import BeagleInstance
     from ..operations import Operation
 
@@ -126,8 +131,8 @@ def _tiled_product(
         np.multiply(first(p0, p1), second(p0, p1), out=out[:, p0:p1])
 
 
-class BlockedNumpyBackend(ReferenceBackend):
-    """Reference arithmetic in cache-sized pattern tiles or batch blocks."""
+class BlockedNumpyBackend:
+    """NumPy kernels run in cache-sized pattern tiles or batch blocks."""
 
     _info = BackendInfo(
         name="blocked",
@@ -138,6 +143,27 @@ class BlockedNumpyBackend(ReferenceBackend):
         kind="cpu",
         parity="bit-identical",
     )
+
+    @property
+    def info(self) -> BackendInfo:
+        """Static descriptor: name, kind and parity class."""
+        return self._info
+
+    def create_workspace(
+        self,
+        dtype: np.dtype,
+        category_count: int,
+        pattern_count: int,
+        state_count: int,
+    ) -> Workspace:
+        """One grow-on-demand arena, sized by the widest block seen."""
+        return Workspace(dtype, category_count, pattern_count, state_count)
+
+    def materialize_matrices(
+        self, eigen: "EigenDecomposition", scaled_times: np.ndarray
+    ) -> np.ndarray:
+        """One batched eigen-multiply for all (time, category) pairs."""
+        return transition_matrices(eigen, scaled_times)
 
     def update_partials_batch(
         self, instance: "BeagleInstance", operations: List["Operation"]
@@ -166,3 +192,21 @@ class BlockedNumpyBackend(ReferenceBackend):
                     logs = self.rescale(out, instance.workspace)
                     instance.scale.write(op.destination_scale, logs)
             instance._partials_valid[slot] = True
+
+    def rescale(
+        self, partials: np.ndarray, workspace: Optional[Workspace] = None
+    ) -> np.ndarray:
+        """BEAGLE's dynamic-max rescale (see :func:`rescale_partials`)."""
+        return rescale_partials(partials, workspace)
+
+    def root_reduce(
+        self,
+        partials: np.ndarray,
+        frequencies: np.ndarray,
+        category_weights: np.ndarray,
+    ) -> np.ndarray:
+        """Frequency/category contraction to per-pattern likelihoods."""
+        return root_site_likelihoods(partials, frequencies, category_weights)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} {self._info.name}>"

@@ -1,4 +1,4 @@
-"""Shared operation-set executor of the two NumPy backends.
+"""Operation-set executor of the NumPy backend's batch-axis blocks.
 
 :func:`execute_operation_block` evaluates the slice ``ops[lo:hi]`` of an
 independent operation set through a :class:`~repro.beagle.workspace.Workspace`
@@ -6,15 +6,14 @@ arena — classification, gathers, batched matmuls, the contribution
 product, one stacked rescale and the destination scatter. Post-order
 and pre-order (upper-partial) sets run through it alike: an upper
 buffer is an ordinary internal buffer of the one partials bank. The
-reference backend runs one block covering the whole set; the blocked
-backend partitions wide sets into cache-sized blocks and loops.
+blocked backend partitions wide sets into cache-sized blocks and loops.
 
 Bit-identity across block boundaries is structural, not incidental: the
 batched ``matmul`` over ``(n, C, P, S)`` stacks is a loop of independent
 2-D GEMMs, so restricting the same call sequence to a sub-range performs
-exactly the same arithmetic on exactly the same operands. The parity
+exactly the same arithmetic on exactly the same operands. The property
 suite (``tests/property/test_backend_parity.py``) still asserts it
-empirically.
+empirically against one block covering the whole set.
 
 Block-local row layout (``nb = hi - lo`` operations): first children
 occupy contribution rows ``0..nb-1``, second children ``nb..2nb-1`` —

@@ -576,8 +576,8 @@ class BeagleInstance:
         final scatter all write into preallocated buffers — so
         steady-state execution performs **zero per-set array
         allocations** and results are bit-identical however operations
-        are grouped (the contract the parity gate enforces per backend;
-        see ``docs/BACKENDS.md``).
+        are grouped (the contract the byte golden and the partition
+        properties check; see ``docs/BACKENDS.md``).
         """
         ops = list(operations)
         if not ops:

@@ -9,16 +9,14 @@ surface for the NumPy work-alike:
 * :func:`acquire` — a backend by name; unknown names raise the typed
   :class:`UnknownResourceError` carrying the available names.
 * :func:`resolve_backend` — the engine's entry point: maps ``None`` (the
-  ``REPRO_BACKEND`` environment variable, then the reference default), a
-  name, or an already-constructed backend onto a
+  ``REPRO_BACKEND`` environment variable, then the ``blocked`` default),
+  a name, or an already-constructed backend onto a
   :class:`~repro.beagle.backend.KernelBackend`.
 
 ``python -m repro.beagle.resources`` prints the listing, mirroring
-BEAGLE's resource dump; ``synthetictest --rsrc <name>`` selects one for
-a benchmark run. The environment variable exists so *unmodified* test
-suites can be replayed against every registered backend — the CI
-backend-matrix job sets ``REPRO_BACKEND=blocked`` and reruns the beagle
-and property suites verbatim.
+BEAGLE's resource dump. One resource is registered, the cache-blocked
+NumPy engine; the registry and the environment variable are where a
+native kernel would register and be selected.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from collections import OrderedDict
 from typing import Callable, List, Optional, Union
 
 from .backend import BackendInfo, KernelBackend
-from .backends import BlockedNumpyBackend, ReferenceBackend
+from .backends import BlockedNumpyBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -47,7 +45,7 @@ __all__ = [
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: The backend used when neither caller nor environment chooses one.
-DEFAULT_RESOURCE = "reference"
+DEFAULT_RESOURCE = "blocked"
 
 
 class UnknownResourceError(LookupError):
@@ -66,7 +64,7 @@ class UnknownResourceError(LookupError):
         )
 
 
-# Registration order is listing order: the reference backend first.
+# Registration order is listing order.
 _REGISTRY: "OrderedDict[str, Callable[[], KernelBackend]]" = OrderedDict()
 
 
@@ -78,7 +76,7 @@ def register_resource(
     The factory is invoked per :func:`acquire` call; backends are
     stateless, so construction is cheap. Re-registering an existing name
     requires ``replace=True`` — silent shadowing would let a typo'd
-    plugin hijack the reference resource.
+    plugin hijack the default resource.
     """
     if not replace and name in _REGISTRY:
         raise ValueError(f"resource {name!r} is already registered")
@@ -136,7 +134,6 @@ def resolve_backend(
     )
 
 
-register_resource("reference", ReferenceBackend)
 register_resource("blocked", BlockedNumpyBackend)
 
 
@@ -154,11 +151,15 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             file=out,
         )
     env = os.environ.get(BACKEND_ENV_VAR)
-    default = env or DEFAULT_RESOURCE
+    try:
+        default = resolve_backend(None).info.name
+    except UnknownResourceError as exc:
+        print(f"error: ${BACKEND_ENV_VAR}: {exc}", file=out)
+        return 2
     source = f"${BACKEND_ENV_VAR}" if env else "built-in default"
     print(
         f"default resource: {default} ({source}; override with "
-        f"{BACKEND_ENV_VAR} or synthetictest --rsrc)",
+        f"{BACKEND_ENV_VAR})",
         file=out,
     )
     return 0

@@ -14,13 +14,11 @@ Resources (``--rsrc``):
 
 * ``0`` / ``cpu`` — CPU: the NumPy engine actually computes the
   likelihood ``--reps`` times and reports measured wall-clock
-  throughput (reference kernel backend).
+  throughput (the cache-blocked kernel backend; ``python -m
+  repro.beagle.resources`` lists it).
 * ``1`` / ``gp100`` — GP100 device model (the paper's System 1): the
   engine computes the likelihood once for validation; timing comes from
   the analytical device model.
-* any registered kernel-backend name (``blocked``, ...) — the measured
-  CPU path on that backend; ``python -m repro.beagle.resources`` lists
-  what is available.
 """
 
 from __future__ import annotations
@@ -74,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rsrc",
         type=str,
         default="0",
-        help="resource: 0/cpu = reference CPU (measured), 1/gp100 = GP100 "
-        "model, or a registered kernel-backend name "
-        "(see `python -m repro.beagle.resources`)",
+        help="resource: 0/cpu = NumPy engine on the CPU (measured), "
+        "1/gp100 = GP100 model",
     )
     parser.add_argument("--taxa", type=int, default=16, help="number of OTUs")
     parser.add_argument(
@@ -464,35 +461,32 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
 
 
 def _resolve_rsrc(args, out) -> int:
-    """Normalize ``--rsrc`` into ``args.device_model`` / ``args.backend``.
+    """Normalize ``--rsrc`` into ``args.device_model``.
 
     BEAGLE numbers its resources; we keep ``0`` (measured CPU) and ``1``
-    (GP100 analytical model) for the paper's invocations and additionally
-    accept any registered kernel-backend name (``--rsrc blocked``), which
-    runs the measured CPU path on that backend. Unknown names exit 2
-    with the available resource listing.
+    (GP100 analytical model) for the paper's invocations. Anything else
+    exits 2, as does a ``REPRO_BACKEND`` that names no registered
+    kernel backend.
     """
-    spec = args.rsrc.strip().lower()
-    args.device_model = False
-    args.backend = None
-    if spec in ("0", "cpu"):
-        pass
-    elif spec in ("1", "gp100"):
-        args.device_model = True
-    else:
-        from ..beagle.resources import UnknownResourceError, acquire
+    from ..beagle.resources import (
+        BACKEND_ENV_VAR,
+        UnknownResourceError,
+        resolve_backend,
+    )
 
-        try:
-            acquire(spec)
-        except UnknownResourceError as exc:
-            print(
-                f"error: --rsrc {args.rsrc!r} is neither 0/cpu, 1/gp100 nor "
-                f"a registered backend (available: "
-                f"{', '.join(exc.available)})",
-                file=out,
-            )
-            return 2
-        args.backend = spec
+    spec = args.rsrc.strip().lower()
+    args.device_model = spec in ("1", "gp100")
+    if not args.device_model and spec not in ("0", "cpu"):
+        print(
+            f"error: --rsrc {args.rsrc!r} is neither 0/cpu nor 1/gp100",
+            file=out,
+        )
+        return 2
+    try:
+        resolve_backend(None)
+    except UnknownResourceError as exc:
+        print(f"error: ${BACKEND_ENV_VAR}: {exc}", file=out)
+        return 2
     return 0
 
 
@@ -692,10 +686,8 @@ def _run_gradient(args, tree, model, patterns, info, out) -> int:
             file=out,
         )
         return 1
-    grad = all_branch_derivatives(
-        tree, model, patterns, backend=args.backend, mode=mode
-    )
-    session = DerivativeSession(model, patterns, backend=args.backend)
+    grad = all_branch_derivatives(tree, model, patterns, mode=mode)
+    session = DerivativeSession(model, patterns)
     exact = info.parity == "bit-identical"
     mismatches = 0
     worst = 0.0
@@ -768,9 +760,7 @@ def _run_benchmark(args, out) -> int:
     mode = "serial" if args.serial else "concurrent"
     scaling = args.manualscale
     plan = make_plan(tree, mode, scaling=scaling)
-    instance = create_instance(
-        tree, model, patterns, scaling=scaling, backend=args.backend
-    )
+    instance = create_instance(tree, model, patterns, scaling=scaling)
 
     if args.lint:
         from ..analysis import audit_plan, verify_plan
@@ -985,9 +975,7 @@ def _run_pool_cpu(
     """
 
     def make_case():
-        instance = create_instance(
-            tree, model, patterns, scaling=scaling, backend=args.backend
-        )
+        instance = create_instance(tree, model, patterns, scaling=scaling)
         return instance, plan
 
     pool = LikelihoodPool(
@@ -1094,9 +1082,7 @@ def _run_serve_cpu(
     )
 
     def make_case():
-        instance = create_instance(
-            tree, model, patterns, scaling=scaling, backend=args.backend
-        )
+        instance = create_instance(tree, model, patterns, scaling=scaling)
         return instance, plan
 
     pool = LikelihoodPool(
@@ -1291,7 +1277,6 @@ def _run_sharded_cpu(
             resume=resume,
             abort_after=abort_after,
             fault_spec=spec,
-            backend=args.backend,
         )
 
     resumed_run = args.shard_resume

@@ -15,12 +15,12 @@ the workload's ``threads_per_operation``, making ``ceil(k * tpo / ct)``
 collapse to ``k``, with ``wave_time_s`` the fitted slope and
 ``launch_overhead_s`` the fitted intercept.
 
-The payoff: a *measured* kernel backend (reference, blocked, ...)
-becomes a first-class device model — ``SimulatedDevice`` and the
+The payoff: a *measured* kernel backend (the cache-blocked NumPy
+engine today) becomes a first-class device model — ``SimulatedDevice`` and the
 ``--rsrc 1``-style analyses can then extrapolate set-size schedules for
 hardware-free what-if studies, priced off real timings instead of the
 paper's published GP100 numbers. ``benchmarks/bench_backend_matrix.py``
-prints one calibrated spec per backend.
+prints the calibrated spec of the registered backend.
 """
 
 from __future__ import annotations

@@ -1,4 +1,8 @@
-"""Kernel-backend conformance: contract, bit-identity, doc drift."""
+"""Kernel-backend conformance: contract, bit-identity, doc drift.
+
+The engine's arithmetic is checked against :class:`FixedBlockBackend`
+with its default block: one block covering each whole set, the
+arithmetic of the set executor before any tiling or blocking."""
 
 from __future__ import annotations
 
@@ -11,9 +15,7 @@ from repro.beagle import (
     BackendInfo,
     BlockedNumpyBackend,
     KernelBackend,
-    ReferenceBackend,
     Workspace,
-    parity_report,
 )
 from repro.beagle.backends import blocked
 from repro.bench.harness import build_tree
@@ -68,7 +70,7 @@ class TestBackendInfo:
 
 class TestProtocolConformance:
     @pytest.mark.parametrize(
-        "backend", [ReferenceBackend(), BlockedNumpyBackend()]
+        "backend", [BlockedNumpyBackend(), FixedBlockBackend()]
     )
     def test_satisfies_protocol(self, backend):
         assert isinstance(backend, KernelBackend)
@@ -76,7 +78,7 @@ class TestProtocolConformance:
         assert info.name and info.description and info.kind == "cpu"
 
     @pytest.mark.parametrize(
-        "backend", [ReferenceBackend(), BlockedNumpyBackend()]
+        "backend", [BlockedNumpyBackend(), FixedBlockBackend()]
     )
     def test_create_workspace_shape(self, backend):
         ws = backend.create_workspace(np.float64, 2, 16, 4)
@@ -84,7 +86,7 @@ class TestProtocolConformance:
         assert ws.compatible_with(np.float64, 2, 16, 4)
 
     @pytest.mark.parametrize(
-        "backend", [ReferenceBackend(), BlockedNumpyBackend()]
+        "backend", [BlockedNumpyBackend(), FixedBlockBackend()]
     )
     def test_rescale_and_root_reduce_shapes(self, backend):
         rng = np.random.default_rng(0)
@@ -105,34 +107,28 @@ class TestBlockedBitIdentity:
     @pytest.mark.parametrize("block", [1, 3, 8, 1024])
     def test_explicit_block_sizes(self, block):
         case = _case()
-        expected = _loglik(ReferenceBackend(), case)
+        expected = _loglik(FixedBlockBackend(), case)
         got = _loglik(FixedBlockBackend(block), case)
         assert got == expected  # exact, not approx
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_both_precisions(self, dtype):
         case = _case()
-        expected = _loglik(ReferenceBackend(), case, dtype=dtype)
+        expected = _loglik(FixedBlockBackend(), case, dtype=dtype)
         got = _loglik(BlockedNumpyBackend(), case, dtype=dtype)
         assert got == expected
 
     def test_with_scaling(self):
         case = _case()
-        expected = _loglik(ReferenceBackend(), case, scaling=True)
+        expected = _loglik(FixedBlockBackend(), case, scaling=True)
         got = _loglik(BlockedNumpyBackend(), case, scaling=True)
         assert got == expected
 
     def test_serial_mode(self):
         case = _case()
-        expected = _loglik(ReferenceBackend(), case, mode="serial")
+        expected = _loglik(FixedBlockBackend(), case, mode="serial")
         got = _loglik(BlockedNumpyBackend(), case, mode="serial")
         assert got == expected
-
-    def test_parity_battery_green(self):
-        report = parity_report("blocked", n_taxa=8, n_patterns=24)
-        assert report.ok
-        assert report.bit_identical
-        assert report.measured_class == "bit-identical"
 
     def test_auto_block_scales_with_row_size(self):
         wide = create_instance(*_case(n_tips=6, n_patterns=512))
@@ -197,7 +193,7 @@ def _engine_bytes(backend, case, dtype, mode, scaled):
 
 
 class TestBlockedMatchesReferenceByteForByte:
-    """Every buffer the merged backend writes equals the reference's."""
+    """Every buffer the engine writes equals the one-block partition's."""
 
     @pytest.mark.parametrize("mode", ["concurrent", "serial"])
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
@@ -208,7 +204,7 @@ class TestBlockedMatchesReferenceByteForByte:
         self, topology, reroot, dtype, scaled, mode
     ):
         case = _protein_case(topology, reroot)
-        expected = _engine_bytes(ReferenceBackend(), case, dtype, mode, scaled)
+        expected = _engine_bytes(FixedBlockBackend(), case, dtype, mode, scaled)
         got = _engine_bytes(BlockedNumpyBackend(), case, dtype, mode, scaled)
         assert got[0] == expected[0]
         assert got[1] == expected[1], "partials differ"
@@ -239,7 +235,7 @@ class TestSerialMatchesSetByteForByte:
     the resilience layer's degrade path; on ``blocked`` the pattern-tiled
     narrow kernel) computes exactly the bits of the whole set."""
 
-    @pytest.mark.parametrize("backend", [ReferenceBackend, BlockedNumpyBackend])
+    @pytest.mark.parametrize("backend", [FixedBlockBackend, BlockedNumpyBackend])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     @pytest.mark.parametrize("reroot", [False, True], ids=["given", "rerooted"])
     @pytest.mark.parametrize("topology", ["pectinate", "random", "balanced"])
@@ -255,9 +251,9 @@ class TestSharedArena:
     def test_arena_adoption_across_backends(self):
         """One arena may serve instances on different backends."""
         case = _case()
-        expected = _loglik(ReferenceBackend(), case)
+        expected = _loglik(FixedBlockBackend(), case)
         tree, model, patterns = case
-        ref = create_instance(tree, model, patterns, backend="reference")
+        ref = create_instance(tree, model, patterns, backend=FixedBlockBackend())
         blk = create_instance(tree, model, patterns, backend="blocked")
         blk.adopt_workspace(ref.workspace)
         plan = make_plan(tree, "concurrent")

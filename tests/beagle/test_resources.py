@@ -11,7 +11,6 @@ from repro.beagle import (
     BackendInfo,
     BlockedNumpyBackend,
     KernelBackend,
-    ReferenceBackend,
     UnknownResourceError,
     acquire,
     available_resources,
@@ -23,10 +22,8 @@ from repro.beagle.resources import DEFAULT_RESOURCE, main
 
 
 class TestRegistry:
-    def test_reference_and_blocked_registered(self):
-        names = available_resources()
-        assert names[0] == "reference"  # preference order: ground truth first
-        assert "blocked" in names
+    def test_blocked_is_the_only_resource(self):
+        assert available_resources() == ["blocked"]
 
     def test_list_resources_returns_descriptors(self):
         infos = list_resources()
@@ -35,19 +32,25 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_resource("reference", ReferenceBackend)
+            register_resource("blocked", BlockedNumpyBackend)
 
     def test_replace_allows_reregistration(self):
-        register_resource("reference", ReferenceBackend, replace=True)
-        assert isinstance(acquire("reference"), ReferenceBackend)
+        register_resource("blocked", BlockedNumpyBackend, replace=True)
+        assert isinstance(acquire("blocked"), BlockedNumpyBackend)
 
 
 class TestAcquire:
     def test_by_name(self):
         assert isinstance(acquire("blocked"), BlockedNumpyBackend)
 
-    def test_default_is_reference(self):
-        assert acquire().info.name == DEFAULT_RESOURCE == "reference"
+    def test_default_is_blocked(self):
+        assert acquire().info.name == DEFAULT_RESOURCE == "blocked"
+
+    def test_reference_is_unknown(self):
+        # The whole-set NumPy path is gone; its name is no resource.
+        with pytest.raises(UnknownResourceError) as excinfo:
+            acquire("reference")
+        assert excinfo.value.available == ["blocked"]
 
     def test_unknown_name_is_typed_and_lists_available(self):
         with pytest.raises(UnknownResourceError) as excinfo:
@@ -68,30 +71,31 @@ class TestAcquire:
 class TestResolveBackend:
     def test_none_resolves_default(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None).info.name == "reference"
+        assert resolve_backend(None).info.name == "blocked"
 
     def test_env_var_overrides_default(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "blocked")
         assert isinstance(resolve_backend(None), BlockedNumpyBackend)
+        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
+        with pytest.raises(UnknownResourceError):
+            resolve_backend(None)
 
     def test_env_var_consulted_per_call(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "blocked")
-        first = resolve_backend(None)
+        monkeypatch.setenv(BACKEND_ENV_VAR, "nope")
+        with pytest.raises(UnknownResourceError):
+            resolve_backend(None)
         monkeypatch.delenv(BACKEND_ENV_VAR)
-        second = resolve_backend(None)
-        assert first.info.name == "blocked"
-        assert second.info.name == "reference"
+        assert resolve_backend(None).info.name == "blocked"
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "blocked")
-        assert resolve_backend("reference").info.name == "reference"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "nope")
+        assert resolve_backend("blocked").info.name == "blocked"
 
     def test_backend_object_passes_through(self):
         backend = BlockedNumpyBackend()
         assert resolve_backend(backend) is backend
 
     def test_protocol_is_runtime_checkable(self):
-        assert isinstance(ReferenceBackend(), KernelBackend)
         assert isinstance(BlockedNumpyBackend(), KernelBackend)
 
     def test_garbage_spec_raises_type_error(self):
@@ -108,10 +112,16 @@ class TestListingCli:
         assert "kernel backend resource(s):" in text
         for name in available_resources():
             assert name in text
-        assert "default resource: reference (built-in default" in text
+        assert "default resource: blocked (built-in default" in text
 
     def test_module_listing_reports_env_default(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "blocked")
         out = io.StringIO()
         main([], out=out)
         assert f"default resource: blocked (${BACKEND_ENV_VAR}" in out.getvalue()
+
+    def test_module_listing_rejects_unknown_env_default(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
+        out = io.StringIO()
+        assert main([], out=out) == 2
+        assert "unknown kernel-backend resource 'reference'" in out.getvalue()

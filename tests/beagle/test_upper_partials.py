@@ -25,6 +25,7 @@ from repro.inference import DerivativeSession, canonical_edges
 from repro.models import HKY85
 from repro.trees import balanced_tree, pectinate_tree, yule_tree
 from repro.trees.reroot import reroot_above
+from tests.partitioned import FixedBlockBackend
 
 MODEL = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
 
@@ -170,7 +171,7 @@ class TestBackendBitIdentity:
     def test_upper_bank_matches_reference(self, backend):
         tree = yule_tree(9, np.random.default_rng(6))
         patterns = make_patterns(tree)
-        ref = sweep_instance(tree, patterns, backend="reference")
+        ref = sweep_instance(tree, patterns, backend=FixedBlockBackend())
         alt = sweep_instance(tree, patterns, backend=backend)
         for node in tree.root.traverse_postorder():
             if node.parent is None or node is tree.root.children[1]:
@@ -192,7 +193,7 @@ class TestBackendBitIdentity:
 class TestBlockedResource:
     def test_registered_and_bit_identical(self):
         names = [d.name for d in list_resources()]
-        assert names == ["reference", "blocked"]
+        assert names == ["blocked"]
         backend = resolve_backend("blocked")
         assert backend.info.parity == "bit-identical"
         assert backend.info.tolerance == 0.0

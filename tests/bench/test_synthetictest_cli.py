@@ -63,7 +63,7 @@ class TestRun:
             "--rsrc", "0", "--taxa", "8", "--sites", "32", "--reps", "2"
         )
         assert code == 0
-        assert "CPU (NumPy engine, backend=reference)" in text
+        assert "CPU (NumPy engine, backend=blocked)" in text
         assert "GFLOPS" in text
 
     def test_pectinate_counts(self):
@@ -110,6 +110,16 @@ class TestRun:
     def test_rsrc_validation(self):
         code, text = run_cli("--rsrc", "5")
         assert code == 2
+        # --rsrc numbers resources; backend names are no longer accepted.
+        code, text = run_cli("--rsrc", "blocked")
+        assert code == 2
+        assert "neither 0/cpu nor 1/gp100" in text
+
+    def test_unknown_backend_env_exits_cleanly(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        code, text = run_cli("--taxa", "8", "--sites", "16", "--reps", "1")
+        assert code == 2
+        assert "unknown kernel-backend resource 'reference'" in text
 
     def test_manualscale_cpu_path(self):
         code, text = run_cli(
@@ -243,10 +253,10 @@ class TestGradientFlag:
 
     def test_gradient_with_blocked_backend(self):
         code, text = run_cli(
-            "--taxa", "8", "--sites", "32", "--reps", "1",
-            "--gradient", "--rsrc", "blocked",
+            "--taxa", "8", "--sites", "32", "--reps", "1", "--gradient",
         )
         assert code == 0, text
+        assert "kernel backend: blocked (cpu, bit-identical)" in text
         assert "(exact" in text
 
     def test_gradient_device_model_economics(self):

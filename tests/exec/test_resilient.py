@@ -19,6 +19,7 @@ from repro.exec import (
 )
 from repro.models import JC69
 from repro.trees import balanced_tree, pectinate_tree
+from tests.partitioned import FixedBlockBackend
 
 
 def make_case(n_tips=16, n_patterns=32, seed=1, dtype=np.float64, topology="balanced"):
@@ -133,14 +134,16 @@ class TestVerifierArena:
         assert (ll, capacity) == self._capacity("blocked", resilient=False)
 
     def test_reference_arena_unchanged(self):
-        assert self._capacity("reference", resilient=True) == self._capacity(
-            "reference", resilient=False
+        # One block covering each whole set: verification may grow the
+        # arena no further than the launch itself did.
+        assert self._capacity(FixedBlockBackend(), resilient=True) == (
+            self._capacity(FixedBlockBackend(), resilient=False)
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_poison_caught_in_every_chunk(self, seed):
         instance, plan = self._wide("blocked", n_tips=16)
-        clean = execute_plan(self._wide("reference", n_tips=16)[0], plan)
+        clean = execute_plan(self._wide(FixedBlockBackend(), n_tips=16)[0], plan)
         spec = FaultSpec(rate=1.0, seed=seed, classes=("nan",), max_faults=3)
         engine = ResilientInstance(FaultInjector(instance, spec))
         assert engine.execute(plan) == clean

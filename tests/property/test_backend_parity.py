@@ -1,11 +1,12 @@
-"""Backend parity as property tests: any plan, any backend, same bits.
+"""Backend parity as property tests: any plan, any partition, same bits.
 
-The pluggable-backend refactor is only safe if backend choice is
-unobservable in the results (up to each backend's declared parity
-class). These tests drive randomized trees, precisions and scheduling
-modes through **every** registered backend and hold each to its claim:
-bit-identical backends must reproduce the reference log-likelihood
-exactly; tolerance backends must stay within their declared bound.
+The engine cuts operation sets into cache-sized pieces; that is only
+safe if the cut is unobservable in the results. These tests drive
+randomized trees, precisions and scheduling modes through **every**
+registered backend and hold each to its declared parity class against
+one block covering each whole set (``FixedBlockBackend()``):
+bit-identical backends must reproduce its log-likelihood exactly;
+tolerance backends must stay within their declared bound.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from tests.partitioned import FixedBlockBackend
 from tests.strategies import tree_strategy
 
 MODEL = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
+
+#: Every set as one block: the arithmetic the engine's tiles and
+#: batch-axis blocks must reproduce.
+ONE_BLOCK = FixedBlockBackend()
 
 
 def _patterns(tree, seed):
@@ -58,7 +63,7 @@ class TestAllRegisteredBackends:
         patterns = _patterns(tree, seed)
         if reroot:
             tree = optimal_reroot_fast(tree).tree
-        expected = _plan_ll(tree, patterns, "reference", dtype, "concurrent")
+        expected = _plan_ll(tree, patterns, ONE_BLOCK, dtype, "concurrent")
         for name in available_resources():
             backend = acquire(name)
             got = _plan_ll(tree, patterns, backend, dtype, "concurrent")
@@ -91,7 +96,7 @@ class TestBlockedBeyondFullTraversals:
     def test_incremental_path_bit_identical(self, tree, seed, block):
         patterns = _patterns(tree, seed)
         values = []
-        for backend in ("reference", "blocked", FixedBlockBackend(block)):
+        for backend in (ONE_BLOCK, "blocked", FixedBlockBackend(block)):
             lik = TreeLikelihood(
                 tree.copy(), MODEL, patterns, backend=backend
             )
@@ -111,7 +116,7 @@ class TestBlockedBeyondFullTraversals:
     def test_sharded_path_bit_identical(self, tree, seed, n_shards):
         patterns = _patterns(tree, seed)
         expected = ShardedLikelihood(
-            tree, MODEL, patterns, n_shards=n_shards, backend="reference"
+            tree, MODEL, patterns, n_shards=n_shards, backend=ONE_BLOCK
         ).log_likelihood()
         got = ShardedLikelihood(
             tree, MODEL, patterns, n_shards=n_shards, backend="blocked"
@@ -128,7 +133,7 @@ class TestBlockedBeyondFullTraversals:
         tree = build_tree("balanced", 16, 1)
         patterns = _patterns(tree, 5)
         expected = _plan_ll(
-            tree, patterns, "reference", np.float64, "concurrent"
+            tree, patterns, ONE_BLOCK, np.float64, "concurrent"
         )
         got = _plan_ll(
             tree, patterns, FixedBlockBackend(block), np.float64, "concurrent"
